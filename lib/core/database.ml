@@ -13,6 +13,7 @@ type t = {
   mutable func_order : Symbol.t list;  (* reverse declaration order *)
   mutable timestamp : int;
   mutable changes : int;
+  mutable version : int;  (* bumped by every mutator; see [touched] *)
   mutable merge_hook : (Schema.func -> Value.t -> Value.t -> Value.t) option;
   mutable txn_hook : (unit -> unit) option;
       (* one-shot: fires just before the first mutation after being armed,
@@ -25,6 +26,7 @@ let clear_txn_hook db = db.txn_hook <- None
 
 (* Called at the top of every mutator, before anything is written. *)
 let touched db =
+  db.version <- db.version + 1;
   match db.txn_hook with
   | Some f ->
     db.txn_hook <- None;
@@ -42,6 +44,7 @@ let create () =
     func_order = [];
     timestamp = 0;
     changes = 0;
+    version = 0;
     merge_hook = None;
     txn_hook = None;
     proofs = Proof_forest.create ();
@@ -103,6 +106,7 @@ let bump_timestamp db =
   touched db;
   db.timestamp <- db.timestamp + 1
 let change_counter db = db.changes
+let version db = db.version
 
 let lookup db table key =
   match Table.get table (canon_key db key) with
@@ -275,6 +279,7 @@ let copy db =
     func_order = db.func_order;
     timestamp = db.timestamp;
     changes = db.changes;
+    version = db.version;
     merge_hook = db.merge_hook;
     txn_hook = None;  (* transactions never follow a copy across a swap *)
     proofs = Proof_forest.copy db.proofs;

@@ -64,6 +64,13 @@ val change_counter : t -> int
 (** Monotone counter of semantic changes (insert, update, union); the engine
     detects saturation by comparing it across an iteration. *)
 
+val version : t -> int
+(** Bumped by every mutator (declaration, fresh id, timestamp bump, insert,
+    union, removal), including ones that turn out to change nothing: an
+    unchanged version means an unchanged database. Only meaningful for one
+    database object — a {!copy} starts at its original's version, so caches
+    must also compare the database physically. *)
+
 val lookup : t -> Table.t -> Value.t array -> Value.t option
 
 val set : t -> Table.t -> Value.t array -> Value.t -> unit

@@ -13,6 +13,7 @@ let c_dup = Telemetry.counter "engine.matches_deduplicated"
 let c_bans = Telemetry.counter "scheduler.bans"
 let c_domains = Telemetry.counter "search.domains_used"
 let c_pressure_bans = Telemetry.counter "scheduler.pressure_bans"
+let c_extract_memo_hits = Telemetry.counter "extract.memo_hits"
 
 (* Parallel apply/rebuild gauges and outcome counters. The domains-used
    gauges mirror [search.domains_used]; the staged-commit split records how
@@ -132,6 +133,9 @@ type t = {
   mutable report_sink : run_report list ref option;
       (* when set, every run_iterations pushes its report (see
          [collect_reports] — the server's budget-stop detector) *)
+  mutable extract_memo : (Database.t * int * Extract.table) option;
+      (* the extraction table of [db] at a [Database.version]; see
+         [extract_table] *)
 }
 
 let database eng = eng.db
@@ -335,6 +339,7 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
       rulesets = [];
       decl_log = [];
       report_sink = None;
+      extract_memo = None;
     }
   in
   Database.set_merge_hook eng.db (fun func old_v new_v ->
@@ -1751,13 +1756,27 @@ let total_rows eng = Database.total_rows eng.db
 let n_classes eng = Database.n_classes eng.db
 let table_size eng name = Table.length (find_table_exn eng name)
 
-let extract_value eng v =
+(* The extraction table of the current database, reused while the
+   database is physically the same object at the same version. A pop or a
+   rollback swaps in another object, and every mutator bumps the version,
+   so a stale table is never served; the physical check also keeps a copy
+   (which starts at its original's version) from hitting its original's
+   memo. The memo lives on the engine so it dies with it. *)
+let extract_table eng =
   Database.rebuild eng.db;
-  Extract.extract eng.db v
+  let version = Database.version eng.db in
+  match eng.extract_memo with
+  | Some (db, v, table) when db == eng.db && v = version ->
+    Telemetry.bump c_extract_memo_hits 1;
+    table
+  | Some _ | None ->
+    let table = Extract.compute eng.db in
+    eng.extract_memo <- Some (eng.db, version, table);
+    table
 
-let extract_candidates eng v ~max =
-  Database.rebuild eng.db;
-  Extract.candidates eng.db v ~max
+let extract_value eng v = Extract.extract (extract_table eng) eng.db v
+
+let extract_candidates eng v ~max = Extract.candidates (extract_table eng) eng.db v ~max
 
 (* Evaluate a ground expression without inserting anything (used by check
    to report values, per Fig. 3b's `(check (path 1 3)) ;; prints "20"`). *)
@@ -2006,8 +2025,10 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
       eng.iteration <- snap.sn_iteration;
       eng.decl_log <- snap.sn_decl_log;
       (* The restored tables are fresh incarnations (new uids): cached join
-         structures can never hit again, so drop them rather than leak. *)
+         structures and the extraction memo can never hit again, so drop
+         them rather than leak. *)
       Join.clear_all eng.join_cache;
+      eng.extract_memo <- None;
       [])
   | Ast.Print_function (name, n) ->
     let table = find_table_exn eng name in
@@ -2120,6 +2141,7 @@ let rollback_txn eng tx =
   eng.default_exprs <- tx.tx_default_exprs;
   eng.decl_log <- tx.tx_decl_log;
   Join.clear_all eng.join_cache;
+  eng.extract_memo <- None;
   eng.current_reason <- Proof_forest.Asserted
 
 (* Normalize internal failures (merge conflicts, bad unions, primitive

@@ -247,3 +247,8 @@ val n_classes : t -> int
 val table_size : t -> string -> int
 val extract_value : t -> Value.t -> Extract.result option
 val extract_candidates : t -> Value.t -> max:int -> Extract.term list
+(** Both rebuild, then read one {!Extract.table} of the current database.
+    The engine keeps the last table and reuses it until the database
+    mutates or is swapped (pop, rollback), so consecutive extractions from
+    an unchanged database compute it once ([extract.memo_hits] counts the
+    reuses). *)

@@ -653,6 +653,154 @@ let test_cache_key_structured_consts () =
   Alcotest.(check (list string)) "quoted const again" [ "1" ]
     (join_multiset db ~cache (query "a;1=b") ~ranges)
 
+(* ---- extraction: worklist vs the Bellman-Ford oracle, memo reuse ---- *)
+
+let extraction_rules =
+  {|
+  (rewrite (Add a b) (Add b a))
+  (rewrite (Mul a b) (Mul b a))
+  (rewrite (Neg (Neg a)) a)
+  (rewrite (Add (Num x) (Num y)) (Num (+ x y)))
+  (rewrite (Mul (Num x) (Num y)) (Num (* x y)))
+  (rewrite (Add a (Num 0)) a)
+|}
+
+(* The best table, and what extract and candidates read off it for the
+   classes of [root] and [nr]. *)
+let oracle_agrees what eng db =
+  let table = E.Extract.compute db in
+  match Ref_extract.first_mismatch db with
+  | Some id -> QCheck2.Test.fail_reportf "%s: %s" what (Ref_extract.describe db id)
+  | None ->
+    List.iter
+      (fun name ->
+        let v = E.Engine.eval_call eng name [] in
+        if E.Extract.extract table db v <> Ref_extract.extract db v then
+          QCheck2.Test.fail_reportf "%s: extract %s differs" what name;
+        List.iter
+          (fun max ->
+            if E.Extract.candidates table db v ~max <> Ref_extract.candidates db v ~max then
+              QCheck2.Test.fail_reportf "%s: candidates %s ~max:%d differ" what name max)
+          [ 0; 1; 3; 64 ])
+      [ "root"; "nr" ];
+    true
+
+(* The whole best table — cost, constructor and key of every class — must
+   equal the oracle's, and so must the extracted terms and the candidate
+   lists, after saturation and again in a stale state: unions not yet
+   rebuilt, so rows still mention non-canonical ids, and the class of
+   (Neg root) holds (Neg other) too, whose term is then a duplicate. *)
+let prop_extract_matches_oracle =
+  QCheck2.Test.make ~name:"extraction: worklist table == Bellman-Ford oracle" ~count:100
+    QCheck2.Gen.(triple gen_term_src gen_term_src (int_range 1 5))
+    (fun (src, other, iters) ->
+      let eng = E.Engine.create () in
+      ignore (E.run_string eng math_schema);
+      ignore
+        (E.run_string eng
+           (Printf.sprintf
+              "(define root %s) (define other %s) (define nr (Neg root)) (define no (Neg other))"
+              src other));
+      ignore (E.run_string eng extraction_rules);
+      ignore (E.run_string eng (Printf.sprintf "(run %d)" iters));
+      let db = E.Engine.database eng in
+      let union a b =
+        ignore (E.Engine.union_values eng (E.Engine.eval_call eng a []) (E.Engine.eval_call eng b []))
+      in
+      oracle_agrees "saturated" eng db
+      && begin
+        union "root" "other";
+        union "nr" "no";
+        oracle_agrees "unrebuilt unions" eng db
+      end)
+
+let test_extract_math_suite_oracle () =
+  let eng = E.Engine.create ~scheduler:E.Engine.backoff_default () in
+  ignore (E.run_string eng (Math_suite.egglog_program ()));
+  List.iter
+    (fun iters ->
+      ignore (E.Engine.run_iterations eng iters);
+      let db = E.Engine.database eng in
+      match Ref_extract.first_mismatch db with
+      | None -> ()
+      | Some id ->
+        Alcotest.failf "math suite after %d more iteration(s): %s" iters
+          (Ref_extract.describe db id))
+    [ 0; 2; 2; 2 ]
+
+(* Every kind of state change between two extractions — run, union, set,
+   delete, push/pop, a rolled-back transaction, a failing command — must
+   be seen by the next extraction: it equals a memo-free recomputation,
+   and the expected cost shows the change really moved the answer. With
+   no change in between, the memo is hit. *)
+let test_extract_memo_invalidation () =
+  let eng = E.Engine.create () in
+  ignore (E.run_string eng math_schema);
+  ignore
+    (E.run_string eng
+       {|
+  (define root (Add (Mul (Num 2) (Var "x")) (Neg (Num 3))))
+  (function f (i64) i64)
+  (set (f 0) 1)
+  (rewrite (Neg (Num n)) (Num (- 0 n)))
+|});
+  let root () = E.Engine.eval_call eng "root" [] in
+  let hits () =
+    Option.value ~default:0
+      (List.assoc_opt "extract.memo_hits" (E.Telemetry.snapshot ()).E.Telemetry.sn_counters)
+  in
+  let expect what cost =
+    let got = E.Engine.extract_value eng (root ()) in
+    let variants = E.Engine.extract_candidates eng (root ()) ~max:8 in
+    let db = E.Engine.database eng in
+    let table = E.Extract.compute db in
+    Alcotest.(check bool) (what ^ ": extract = recomputation") true
+      (got = E.Extract.extract table db (root ()));
+    Alcotest.(check bool) (what ^ ": candidates = recomputation") true
+      (variants = E.Extract.candidates table db (root ()) ~max:8);
+    Alcotest.(check (option int)) (what ^ ": cost") (Some cost)
+      (Option.map (fun (r : E.Extract.result) -> r.E.Extract.cost) got)
+  in
+  let run src = ignore (E.run_string eng src) in
+  E.Telemetry.reset ();
+  E.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      E.Telemetry.disable ();
+      E.Telemetry.reset ())
+    (fun () ->
+      expect "initial" 6;
+      let h0 = hits () in
+      ignore (E.Engine.extract_value eng (root ()));
+      ignore (E.Engine.extract_candidates eng (root ()) ~max:8);
+      Alcotest.(check int) "unchanged database hits the memo" 2 (hits () - h0);
+      run "(run 1)";
+      expect "run" 5;
+      run "(union root (Add (Num 1) (Num 1)))";
+      expect "union" 3;
+      run "(push)";
+      run "(union root (Neg (Num 0)))";
+      expect "pushed scope" 2;
+      run "(pop)";
+      expect "pop" 3;
+      (match
+         E.Engine.with_transaction eng (fun () ->
+             run {|(union root (Var "z"))|};
+             expect "inside transaction" 1;
+             failwith "abort")
+       with
+       | () -> Alcotest.fail "transaction should have failed"
+       | exception E.Engine.Egglog_error _ -> ());
+      expect "rolled-back transaction" 3;
+      (match run "(set (f 0) 2)" with
+       | () -> Alcotest.fail "conflicting set should have failed"
+       | exception E.Engine.Egglog_error _ -> ());
+      expect "failing command" 3;
+      run {|(set (Var "y") root)|};
+      expect "set" 1;
+      run {|(delete (Var "y"))|};
+      expect "delete" 3)
+
 let () =
   Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;
   try
@@ -690,6 +838,13 @@ let () =
             prop_push_pop_nesting;
             prop_run_is_idempotent_at_fixpoint;
           ] );
+      ( "extraction",
+        to_alcotest prop_extract_matches_oracle
+        :: [
+             Alcotest.test_case "math suite: worklist == oracle" `Quick
+               test_extract_math_suite_oracle;
+             Alcotest.test_case "memo invalidation" `Quick test_extract_memo_invalidation;
+           ] );
     ]
   with e ->
     Printf.eprintf "\nproperty failure: reproduce with EGGLOG_TEST_SEED=%d\n%!" test_seed;

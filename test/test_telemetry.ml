@@ -507,6 +507,65 @@ let test_hist_cross_jobs () =
   Alcotest.(check bool) "hist is populated" true (contains j1 "buckets");
   fresh ()
 
+(* Builds tries (the distributive rule joins two atoms) and extracts the
+   same class twice from an unchanged database. *)
+let extract_program =
+  {|
+  (datatype M (Num i64) (Add M M) (Mul M M))
+  (rewrite (Add a b) (Add b a))
+  (rewrite (Mul a b) (Mul b a))
+  (rewrite (Mul a (Add b c)) (Add (Mul a b) (Mul a c)))
+  (rewrite (Add (Num x) (Num y)) (Num (+ x y)))
+  (define e (Mul (Add (Num 1) (Num 2)) (Add (Num 3) (Mul (Num 4) (Num 5)))))
+  (run 4)
+  (extract e)
+  (extract e)
+|}
+
+(* [join.trie_depth] is a value histogram of trie depths. It must not also
+   appear as a timing aggregate, which --stats would print in seconds. *)
+let test_trie_depth_not_a_timing () =
+  fresh ();
+  T.enable ();
+  let eng = E.Engine.create () in
+  ignore (E.run_string eng extract_program);
+  T.disable ();
+  let snap = T.snapshot () in
+  Alcotest.(check bool) "no join.trie_depth timing" true
+    (List.assoc_opt "join.trie_depth" snap.T.sn_timings = None);
+  Alcotest.(check bool) "join.trie_depth histogram populated" true
+    ((T.hist_snap_of (T.histogram "join.trie_depth")).T.hs_count > 0);
+  fresh ()
+
+(* Deterministic counters, extraction's included, are identical whatever
+   --jobs the engine ran with. The second (extract …) of an unchanged
+   database is answered from the engine's memo. *)
+let deterministic_counters =
+  [ "engine.iterations"; "engine.matches_applied"; "engine.tuples_inserted"; "db.unions";
+    "extract.nodes_evaluated"; "extract.memo_hits" ]
+
+let test_counters_cross_jobs () =
+  let counters_at jobs =
+    fresh ();
+    T.enable ();
+    let eng = E.Engine.create ~jobs () in
+    ignore (E.run_string eng extract_program);
+    T.disable ();
+    let snap = T.snapshot () in
+    List.map (fun name -> (name, counter_value snap name)) deterministic_counters
+  in
+  let c1 = counters_at 1 in
+  List.iter
+    (fun jobs ->
+      List.iter2
+        (fun (name, a) (_, b) ->
+          Alcotest.(check int) (Printf.sprintf "%s at jobs %d = jobs 1" name jobs) a b)
+        c1 (counters_at jobs))
+    [ 2; 4 ];
+  Alcotest.(check bool) "nodes evaluated" true (List.assoc "extract.nodes_evaluated" c1 > 0);
+  Alcotest.(check int) "second extraction hits the memo" 1 (List.assoc "extract.memo_hits" c1);
+  fresh ()
+
 (* ---- flight recorder ---- *)
 
 let test_flightrec_ring () =
@@ -617,6 +676,8 @@ let () =
           Alcotest.test_case "hand-counted program" `Quick test_counters_hand_counted;
           Alcotest.test_case "deduplicated matches" `Quick test_deduplicated_matches;
           Alcotest.test_case "run report printer" `Quick test_report_printer;
+          Alcotest.test_case "deterministic counters across --jobs" `Quick
+            test_counters_cross_jobs;
         ] );
       ( "json",
         [
@@ -636,6 +697,7 @@ let () =
           Alcotest.test_case "buckets and quantiles" `Quick test_hist_buckets;
           QCheck_alcotest.to_alcotest prop_hist_shard_invariance;
           Alcotest.test_case "byte-identical across --jobs" `Quick test_hist_cross_jobs;
+          Alcotest.test_case "trie depth is not a timing" `Quick test_trie_depth_not_a_timing;
           Alcotest.test_case "non-finite floats never reach JSON" `Quick test_nonfinite_json;
         ] );
       ( "flight recorder",
