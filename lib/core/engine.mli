@@ -143,7 +143,7 @@ type run_report = {
   rule_stats : rule_stat list;  (** in declaration order, searched rules only *)
   total_seconds : float;
   jobs : int;
-      (** resolved domain count the run's search/apply/rebuild phases used
+      (** resolved search-phase domain count the run used
           ([>= 1]; the [0] = one-per-core request resolves before it lands
           here) *)
   peak_memory_bytes : int;
@@ -172,16 +172,13 @@ val run_iterations :
     database footprint ({!Database.modeled_bytes}) exceeds it, degrading
     through the pressure tiers first; [until] stops as soon as all its facts
     are derivable (checked before the first iteration and after each one).
-    [jobs] fans the search, apply and rebuild phases across that many
-    domains ([0] = one per core; default: the engine's session setting).
-    The database is frozen during each fan-out: search merges per-variant
-    match buffers in a fixed (rule, variant, discovery) order; apply
-    stages per-match effect traces off-thread and replays them (validated,
-    with serial fallback) in discovery order; rebuild shards each repair
-    round's stale-row scan and repairs serially. The resulting state and
-    report counts are byte-identical to [jobs:1] regardless of
-    scheduling; only the timings differ. @raise Egglog_error on a
-    negative [jobs]. *)
+    [jobs] fans the search phase across that many domains ([0] = one per
+    core; default: the engine's session setting); apply and rebuild are
+    serial. The database is frozen during search and per-variant match
+    buffers are merged in a fixed (rule, variant, discovery) order, so the
+    resulting state and report counts are byte-identical to [jobs:1]
+    regardless of scheduling; only the timings differ. @raise
+    Egglog_error on a negative [jobs]. *)
 
 (** {1 Commands (the textual language)} *)
 

@@ -474,10 +474,10 @@ let prop_diff_delta_ranges =
     ~name:"differential: compiled == interpreted == reference (delta stamp windows)" ~count:350
     gen_scenario (fun ds -> check_diff ds ~delta:true)
 
-(* Engine-level differential for the parallel phases: the scenario's
+(* Engine-level differential for parallel search: the scenario's
    query becomes a rule writing its bindings into [out] — and, with two
-   or more variables, unioning sort members through [g2], so the staged
-   apply path sees fresh-id defaults, unions and merge conflicts — then
+   or more variables, unioning sort members through [g2], so apply sees
+   fresh-id defaults, unions and merge conflicts — then
    the whole engine runs at jobs 1, 2 and 4 and both the canonical dump
    and the run-report fingerprint (per-iteration row/class/match counts,
    stop reason, per-rule stats) must come out byte-identical — the
@@ -510,7 +510,7 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ?compiled_plans ds ~jobs =
        (String.concat " " (List.init (1 + List.length vars) (fun _ -> "i64"))));
   ignore (E.run_string eng (Buffer.contents decls));
   let union_actions =
-    (* exercise parallel apply's union staging: merge the classes keyed by
+    (* exercise unions in apply: merge the classes keyed by
        the first two bound variables (fresh g2 members on first touch) *)
     match vars with
     | v1 :: v2 :: _ -> [ E.Ast.Union (E.Ast.Call ("g2", [ v1 ]), E.Ast.Call ("g2", [ v2 ])) ]

@@ -97,6 +97,25 @@ let test_egglog_ni_matches () =
   Alcotest.(check string) "egglogNI = reference" (sites_to_string ref_sites)
     (sites_to_string (Egglog_enc.var_sites p eng))
 
+(* The benchmark's batch configuration — semi-naive fixpoint over typed
+   facts — at jobs > 1: search fans out across domains, apply and rebuild
+   stay serial, and the result must not depend on the jobs count. *)
+let test_egglog_jobs_differential () =
+  let p = Progen.generate ~size:300 ~seed:11 () in
+  let ref_sites = sites_to_string (Reference.var_sites p (Reference.analyze p)) in
+  let run jobs =
+    let eng, _ = Egglog_enc.analyze ~jobs p in
+    (Egglog.Serialize.dump_string eng, sites_to_string (Egglog_enc.var_sites p eng))
+  in
+  let dump1, sites1 = run 1 in
+  Alcotest.(check string) "jobs 1 = reference" ref_sites sites1;
+  List.iter
+    (fun jobs ->
+      let dump, sites = run jobs in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d dump = jobs 1 dump" jobs) true (dump = dump1);
+      Alcotest.(check string) (Printf.sprintf "jobs %d = reference" jobs) ref_sites sites)
+    [ 2; 4 ]
+
 let datalog_sites flavor p =
   let r = Datalog_enc.analyze flavor ~timeout_s:60.0 p in
   (match r.Datalog_enc.outcome with
@@ -226,6 +245,8 @@ let () =
         [
           Alcotest.test_case "matches reference" `Quick test_egglog_matches_reference;
           Alcotest.test_case "NI matches too" `Quick test_egglog_ni_matches;
+          Alcotest.test_case "jobs 1/2/4 byte-identical, match reference" `Quick
+            test_egglog_jobs_differential;
         ] );
       ( "datalog-encodings",
         [

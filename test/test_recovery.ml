@@ -15,6 +15,7 @@ let all_points =
     "checkpoint.renamed";
     "checkpoint.before-reset";
     "engine.iteration";
+    "engine.apply.rule";
     "engine.top-action";
   ]
 
