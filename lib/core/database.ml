@@ -4,6 +4,16 @@ exception Internal_error of string
 let c_unions = Telemetry.counter "db.unions"
 let c_rebuild_rounds = Telemetry.counter "rebuild.rounds"
 let c_rebuild_canon = Telemetry.counter "rebuild.tuples_canonicalized"
+let c_undo_entries = Telemetry.counter "txn.undo_entries"
+
+(* What an open transaction needs besides the per-structure trails. *)
+type txn = {
+  tx_timestamp : int;
+  tx_changes : int;
+  tx_func_order : Symbol.t list;
+  mutable tx_sorts : Symbol.t list;  (* sorts declared since *)
+  mutable tx_tables : Table.t list;  (* tables armed since, on their first write *)
+}
 
 type t = {
   uf : Union_find.t;
@@ -15,23 +25,21 @@ type t = {
   mutable changes : int;
   mutable version : int;  (* bumped by every mutator; see [touched] *)
   mutable merge_hook : (Schema.func -> Value.t -> Value.t -> Value.t) option;
-  mutable txn_hook : (unit -> unit) option;
-      (* one-shot: fires just before the first mutation after being armed,
-         letting the engine snapshot the still-clean state (transactions) *)
   proofs : Proof_forest.t;
+  mutable txn : txn option;
 }
 
-let set_txn_hook db f = db.txn_hook <- Some f
-let clear_txn_hook db = db.txn_hook <- None
-
 (* Called at the top of every mutator, before anything is written. *)
-let touched db =
-  db.version <- db.version + 1;
-  match db.txn_hook with
-  | Some f ->
-    db.txn_hook <- None;
-    f ()
-  | None -> ()
+let touched db = db.version <- db.version + 1
+
+(* Called before writing a table: arms its trail on the transaction's first
+   write to it, so an undo visits only the tables that were written. *)
+let writing db table =
+  match db.txn with
+  | Some tx when not (Table.armed table) ->
+    Table.begin_trail table;
+    tx.tx_tables <- table :: tx.tx_tables
+  | Some _ | None -> ()
 
 let dummy_sym = Symbol.intern "<none>"
 
@@ -46,13 +54,16 @@ let create () =
     changes = 0;
     version = 0;
     merge_hook = None;
-    txn_hook = None;
     proofs = Proof_forest.create ();
+    txn = None;
   }
 
 let declare_sort db s =
   touched db;
-  Hashtbl.replace db.sorts s ()
+  if not (Hashtbl.mem db.sorts s) then begin
+    Option.iter (fun tx -> tx.tx_sorts <- s :: tx.tx_sorts) db.txn;
+    Hashtbl.replace db.sorts s ()
+  end
 
 let is_sort db s = Hashtbl.mem db.sorts s
 
@@ -143,6 +154,7 @@ let resolve_merge db (func : Schema.func) old_v new_v =
 
 let set db table key value =
   touched db;
+  writing db table;
   let key = canon_key db key in
   let value = canon db value in
   match Table.get table key with
@@ -164,6 +176,7 @@ let set db table key value =
 
 let remove db table key =
   touched db;
+  writing db table;
   Table.remove table (canon_key db key)
 
 (* One repair round over a table: pull out all rows whose key or value
@@ -178,6 +191,7 @@ let repair_table db table =
       if not (key_ok && is_canon db row.value) then stale := (key, row.value) :: !stale)
     table;
   Telemetry.bump c_rebuild_canon (List.length !stale);
+  if !stale <> [] then writing db table;
   List.iter (fun (key, _) -> Table.remove table key) !stale;
   List.iter (fun (key, value) -> set db table key value) !stale
 
@@ -262,6 +276,66 @@ let copy db =
     changes = db.changes;
     version = db.version;
     merge_hook = db.merge_hook;
-    txn_hook = None;  (* transactions never follow a copy across a swap *)
     proofs = Proof_forest.copy db.proofs;
+    txn = None;  (* a copy carries no trail *)
   }
+
+(* ------------------------------------------------------------------ *)
+(* Transactions: undo trails                                          *)
+(* ------------------------------------------------------------------ *)
+
+let begin_txn db =
+  if db.txn <> None then invalid_arg "Database.begin_txn: a transaction is already open";
+  Union_find.begin_trail db.uf;
+  Proof_forest.begin_trail db.proofs ~n_ids:(Union_find.size db.uf);
+  db.txn <-
+    Some
+      {
+        tx_timestamp = db.timestamp;
+        tx_changes = db.changes;
+        tx_func_order = db.func_order;
+        tx_sorts = [];
+        tx_tables = [];
+      }
+
+let count_undo_entries db tx =
+  Telemetry.bump c_undo_entries
+    (List.fold_left
+       (fun n table -> n + Table.trail_entries table)
+       (Union_find.trail_entries db.uf + Proof_forest.trail_entries db.proofs)
+       tx.tx_tables)
+
+let commit_txn db =
+  match db.txn with
+  | None -> ()
+  | Some tx ->
+    count_undo_entries db tx;
+    List.iter Table.end_trail tx.tx_tables;
+    Union_find.end_trail db.uf;
+    Proof_forest.end_trail db.proofs;
+    db.txn <- None
+
+let rollback_txn db =
+  match db.txn with
+  | None -> ()
+  | Some tx ->
+    count_undo_entries db tx;
+    List.iter Table.undo_trail tx.tx_tables;
+    (* functions declared since are the head of [func_order] *)
+    let rec drop order =
+      if order != tx.tx_func_order then
+        match order with
+        | name :: rest ->
+          Hashtbl.remove db.funcs name;
+          drop rest
+        | [] -> ()
+    in
+    drop db.func_order;
+    db.func_order <- tx.tx_func_order;
+    List.iter (Hashtbl.remove db.sorts) tx.tx_sorts;
+    Proof_forest.undo_trail db.proofs;
+    Union_find.undo_trail db.uf;
+    db.timestamp <- tx.tx_timestamp;
+    db.changes <- tx.tx_changes;
+    touched db;
+    db.txn <- None

@@ -52,10 +52,10 @@ val change_counter : t -> int
 
 val version : t -> int
 (** Bumped by every mutator (declaration, fresh id, timestamp bump, insert,
-    union, removal), including ones that turn out to change nothing: an
-    unchanged version means an unchanged database. Only meaningful for one
-    database object — a {!copy} starts at its original's version, so caches
-    must also compare the database physically. *)
+    union, removal, transaction rollback), including ones that turn out to
+    change nothing: an unchanged version means an unchanged database. Only
+    meaningful for one database object — a {!copy} starts at its original's
+    version, so caches must also compare the database physically. *)
 
 val lookup : t -> Table.t -> Value.t array -> Value.t option
 
@@ -105,16 +105,33 @@ val table_stats : t -> Table.t -> int * int array
 (** {1 Snapshots (push/pop)} *)
 
 val copy : t -> t
+(** Deep copy, for [(push)]. The copy carries no open transaction. *)
 
 (** {1 Transactions}
 
-    [set_txn_hook db f] arms a one-shot hook that fires immediately {e
-    before} the first subsequent mutation (insert, union, remove, fresh id,
-    declaration, timestamp bump) — at which point the database is still in
-    its pre-mutation state, so [f] can take a {!copy} for rollback. Commands
-    that fail before mutating never pay for a snapshot. The hook disarms
-    itself after firing; {!clear_txn_hook} disarms it explicitly. Copies
-    made by {!copy} carry no hook. *)
+    A transaction rolls back by undoing what it wrote, not by copying the
+    database. {!begin_txn} arms an undo trail; from then on the first
+    write to each pre-transaction slot saves that slot's old contents
+    once: a row (update, re-stamp or removal), a union-find slot (unions
+    and path compression), a proof-forest slot. Rows, ids, functions and
+    sorts created inside the transaction are dropped on rollback by
+    truncating back to the marks taken at {!begin_txn}, and the scalars
+    (timestamp, change counter, per-table counters) are restored. The
+    saved contents are thus never larger than a copy, and a transaction
+    that writes nothing saves nothing. A rollback leaves every table's
+    scan order as it was, so what runs next behaves exactly as if the
+    transaction had never run.
 
-val set_txn_hook : t -> (unit -> unit) -> unit
-val clear_txn_hook : t -> unit
+    {!version} and {!Table.version} stay monotone: a rollback bumps them.
+    Every saved slot counts towards the deterministic counter
+    [txn.undo_entries] when the transaction ends. *)
+
+val begin_txn : t -> unit
+(** @raise Invalid_argument if a transaction is already open. *)
+
+val commit_txn : t -> unit
+(** Keep every write and disarm the trail. No-op without a transaction. *)
+
+val rollback_txn : t -> unit
+(** Restore the exact state at {!begin_txn} and disarm the trail. No-op
+    without a transaction. *)

@@ -21,6 +21,7 @@ module Ty = Ty
 module Value = Value
 module Ast = Ast
 module Schema = Schema
+module Row_map = Row_map
 module Table = Table
 module Proof_forest = Proof_forest
 module Database = Database

@@ -127,6 +127,7 @@ type t = {
   mutable extract_memo : (Database.t * int * Extract.table) option;
       (* the extraction table of [db] at a [Database.version]; see
          [extract_table] *)
+  mutable in_txn : bool;  (* a transaction is open; see [with_transaction] *)
 }
 
 let database eng = eng.db
@@ -331,6 +332,7 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
       decl_log = [];
       report_sink = None;
       extract_memo = None;
+      in_txn = false;
     }
   in
   Database.set_merge_hook eng.db (fun func old_v new_v ->
@@ -1521,16 +1523,25 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
 (* Transactional command execution                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a failed command could have perturbed. The database copy is
-   the expensive part, so it is taken lazily: Database.set_txn_hook fires
-   just before the first mutation, when the database is still clean —
-   commands that fail before mutating (bad declarations, failed checks,
-   unknown names) pay nothing beyond the cheap scalar capture. *)
+(* Everything a failed transaction could have perturbed. The databases
+   roll back through their undo trails (Database.begin_txn), armed on the
+   current database and on every database held by the push/pop stack: an
+   (include ...) can pop into a stacked database and mutate it. The rest
+   is engine state, cheap to capture. *)
+type rule_state = {
+  st_last_stamp : int;
+  st_times_banned : int;
+  st_banned_until : int;
+  st_plan_sig : string;
+  st_plans : Compile.cquery array;
+  st_compiled : Join.compiled array;
+}
+
 type txn = {
-  tx_db0 : Database.t;  (* the database object at command start *)
-  tx_db_saved : Database.t option ref;  (* pre-mutation copy, filled lazily *)
+  tx_db0 : Database.t;  (* the database object at transaction start *)
+  tx_dbs : Database.t list;  (* every database whose trail is armed *)
   tx_rules : rt_rule list;
-  tx_rule_states : (int * int * int) list;
+  tx_rule_states : rule_state list;  (* scheduler state and cached plans *)
   tx_iteration : int;
   tx_rule_counter : int;
   tx_rulesets : string list;
@@ -1540,39 +1551,52 @@ type txn = {
   tx_decl_log : Ast.command list;
 }
 
-(* [deep_stack] additionally copies the databases held by push/pop
-   snapshots: an (include ...) can pop into one of them and then mutate it
-   through the eng.db alias, which would corrupt the restored stack. *)
-let capture_txn ?(deep_stack = false) eng =
+let begin_txn eng =
+  let dbs = eng.db :: List.map (fun sn -> sn.sn_db) eng.stack in
+  List.iter Database.begin_txn dbs;
+  eng.in_txn <- true;
   {
     tx_db0 = eng.db;
-    tx_db_saved = ref None;
+    tx_dbs = dbs;
     tx_rules = eng.rules;
     tx_rule_states =
-      List.map (fun r -> (r.rr_last_stamp, r.rr_times_banned, r.rr_banned_until)) eng.rules;
+      List.map
+        (fun r ->
+          {
+            st_last_stamp = r.rr_last_stamp;
+            st_times_banned = r.rr_times_banned;
+            st_banned_until = r.rr_banned_until;
+            st_plan_sig = r.rr_plan_sig;
+            st_plans = r.rr_plans;
+            st_compiled = r.rr_compiled;
+          })
+        eng.rules;
     tx_iteration = eng.iteration;
     tx_rule_counter = eng.rule_counter;
     tx_rulesets = eng.rulesets;
-    tx_stack =
-      (if deep_stack then
-         List.map (fun sn -> { sn with sn_db = Database.copy sn.sn_db }) eng.stack
-       else eng.stack);
+    tx_stack = eng.stack;
     tx_merge_exprs = Hashtbl.copy eng.merge_exprs;
     tx_default_exprs = Hashtbl.copy eng.default_exprs;
     tx_decl_log = eng.decl_log;
   }
 
+let commit_txn eng tx =
+  List.iter Database.commit_txn tx.tx_dbs;
+  eng.in_txn <- false
+
 let rollback_txn eng tx =
-  (eng.db <-
-     (match !(tx.tx_db_saved) with
-      | Some saved -> saved  (* the command mutated: restore the clean copy *)
-      | None -> tx.tx_db0 (* fast path: it failed before mutating *)));
+  List.iter Database.rollback_txn tx.tx_dbs;
+  eng.in_txn <- false;
+  eng.db <- tx.tx_db0;
   eng.rules <- tx.tx_rules;
   List.iter2
-    (fun r (ls, tb, bu) ->
-      r.rr_last_stamp <- ls;
-      r.rr_times_banned <- tb;
-      r.rr_banned_until <- bu)
+    (fun r s ->
+      r.rr_last_stamp <- s.st_last_stamp;
+      r.rr_times_banned <- s.st_times_banned;
+      r.rr_banned_until <- s.st_banned_until;
+      r.rr_plan_sig <- s.st_plan_sig;
+      r.rr_plans <- s.st_plans;
+      r.rr_compiled <- s.st_compiled)
     tx.tx_rules tx.tx_rule_states;
   eng.iteration <- tx.tx_iteration;
   eng.rule_counter <- tx.tx_rule_counter;
@@ -1581,6 +1605,8 @@ let rollback_txn eng tx =
   eng.merge_exprs <- tx.tx_merge_exprs;
   eng.default_exprs <- tx.tx_default_exprs;
   eng.decl_log <- tx.tx_decl_log;
+  (* the rolled-back tables keep their uids, so cached join structures
+     built inside the transaction must go, and so must the memo *)
   Join.clear_all eng.join_cache;
   eng.extract_memo <- None;
   eng.current_reason <- Proof_forest.Asserted
@@ -1607,47 +1633,40 @@ let user_error (e : exn) : exn =
     Egglog_error (Printf.sprintf "internal error%s: %s" where detail)
   | e -> e
 
+(* Run [f] atomically. Inside an open transaction [f] just runs: a
+   failure unwinds to the outermost transaction, which rolls back
+   everything, so a nested unit needs no rollback point of its own. Its
+   exception is still normalized, as callers of [run_command] expect. *)
+let with_transaction eng f =
+  if eng.in_txn then (
+    try f ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Printexc.raise_with_backtrace (user_error e) bt)
+  else begin
+    let tx = begin_txn eng in
+    match f () with
+    | result ->
+      commit_txn eng tx;
+      result
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      rollback_txn eng tx;
+      Printexc.raise_with_backtrace (user_error e) bt
+  end
+
 let run_command eng cmd =
   match cmd with
   (* Read-only commands skip the transaction machinery entirely. *)
   | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats -> (
     try run_command_inner eng cmd with e -> raise (user_error e))
-  | _ ->
-    let deep_stack = match cmd with Ast.Include _ -> true | _ -> false in
-    let tx = capture_txn ~deep_stack eng in
-    Database.set_txn_hook tx.tx_db0 (fun () ->
-        if !(tx.tx_db_saved) = None then tx.tx_db_saved := Some (Database.copy tx.tx_db0));
-    Fun.protect
-      ~finally:(fun () ->
-        Database.clear_txn_hook tx.tx_db0;
-        Database.clear_txn_hook eng.db)
-      (fun () ->
-        try run_command_inner eng cmd
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          rollback_txn eng tx;
-          Printexc.raise_with_backtrace (user_error e) bt)
+  | _ -> with_transaction eng (fun () -> run_command_inner eng cmd)
 
 let run_program eng cmds = List.concat_map (run_command eng) cmds
 
 (* ------------------------------------------------------------------ *)
 (* Server-side request machinery                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* A whole-request transaction: unlike [run_command]'s lazy snapshot
-   (whose Database.set_txn_hook slot cannot nest — each inner command
-   installs and clears its own), the database copy is taken eagerly, so
-   any number of commands can run and fail inside [f] and the rollback
-   still restores the exact entry state: database, rules, scheduler
-   state, rulesets, push/pop stack (deep-copied) and declaration log. *)
-let with_transaction eng f =
-  let tx = capture_txn ~deep_stack:true eng in
-  tx.tx_db_saved := Some (Database.copy eng.db);
-  try f ()
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    rollback_txn eng tx;
-    Printexc.raise_with_backtrace (user_error e) bt
 
 let collect_reports eng f =
   let sink = ref [] in

@@ -190,9 +190,15 @@ val run_command : t -> Ast.command -> string list
     failed check, a mid-run primitive error, a merge conflict, an internal
     invariant violation), the engine is rolled back to its pre-command state
     — database, rules, scheduler state, push/pop stack — before the
-    exception is re-raised as {!Egglog_error}. The database snapshot is
-    taken lazily at the first mutation, so commands that fail before
-    mutating pay no copy. *)
+    exception is re-raised as {!Egglog_error}. Rollback undoes the
+    command's writes through the databases' undo trails
+    ({!Database.begin_txn}), so a command pays for what it overwrites,
+    not for the size of the database. A command run inside an open
+    transaction ({!with_transaction}, or an enclosing command such as
+    [(include ...)]) takes no rollback point of its own: its failure
+    unwinds to the outermost transaction, so a caller that catches it
+    there and carries on keeps the failed command's partial writes until
+    that transaction ends. *)
 
 val run_program : t -> Ast.command list -> string list
 
@@ -203,9 +209,11 @@ val with_transaction : t -> (unit -> 'a) -> 'a
     as one atomic unit: if it raises, the engine is restored to its exact
     entry state (database, rules, scheduler state, rulesets, push/pop
     stack, declaration log) and the exception is re-raised (normalized to
-    {!Egglog_error} where applicable). Unlike the per-command transaction
-    the database snapshot is taken eagerly, so even a request that fails
-    after several committed inner commands rolls all of them back. *)
+    {!Egglog_error} where applicable). The commands inside nest: they
+    share this one rollback point, so a request that fails after several
+    inner commands succeeded rolls all of them back. The undo trail is
+    armed on the current database and on every database on the push/pop
+    stack. Inside another transaction [f] just runs. *)
 
 val collect_reports : t -> (unit -> 'a) -> 'a * run_report list
 (** Run [f] and also return every {!run_report} produced by [run] /

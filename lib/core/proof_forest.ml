@@ -3,12 +3,39 @@ type reason = Asserted | Rule of string | Congruence of Symbol.t
 type step = { from_id : int; to_id : int; why : reason }
 
 (* Each id has at most one labelled parent edge; [record] re-roots one
-   side's tree so the new edge can be added (Nelson-Oppen style). *)
-type t = { mutable parent : (int * reason) array; mutable n_edges : int }
+   side's tree so the new edge can be added (Nelson-Oppen style).
+
+   The undo trail works like [Union_find]'s: the first write to a slot
+   below [base] saves the old edge once ([saved.(i) = epoch]); slots from
+   [base] up to [top] belong to ids allocated since and are cleared. *)
+type t = {
+  mutable parent : (int * reason) array;
+  mutable n_edges : int;
+  mutable armed : bool;
+  mutable base : int;
+  mutable top : int;
+  mutable epoch : int;
+  mutable saved : int array;
+  mutable trail : (int * (int * reason)) list;
+  mutable trail_len : int;
+  mutable base_edges : int;
+}
 
 let no_parent = (-1, Asserted)
 
-let create () = { parent = Array.make 64 no_parent; n_edges = 0 }
+let create () =
+  {
+    parent = Array.make 64 no_parent;
+    n_edges = 0;
+    armed = false;
+    base = 0;
+    top = 0;
+    epoch = 0;
+    saved = [||];
+    trail = [];
+    trail_len = 0;
+    base_edges = 0;
+  }
 
 let ensure t id =
   if id >= Array.length t.parent then begin
@@ -17,6 +44,17 @@ let ensure t id =
     Array.blit t.parent 0 bigger 0 (Array.length t.parent);
     t.parent <- bigger
   end
+
+let write t i edge =
+  if i < t.base then begin
+    if t.saved.(i) <> t.epoch then begin
+      t.saved.(i) <- t.epoch;
+      t.trail <- (i, t.parent.(i)) :: t.trail;
+      t.trail_len <- t.trail_len + 1
+    end
+  end
+  else if t.armed && i >= t.top then t.top <- i + 1;
+  t.parent.(i) <- edge
 
 let parent_of t id = if id < Array.length t.parent then t.parent.(id) else no_parent
 
@@ -33,10 +71,10 @@ let reroot t id =
   List.iter
     (fun (child, par, why) ->
       ensure t par;
-      t.parent.(par) <- (child, why))
+      write t par (child, why))
     path;
   ensure t id;
-  t.parent.(id) <- no_parent
+  write t id no_parent
 
 let record t a b why =
   if a <> b then begin
@@ -45,7 +83,7 @@ let record t a b why =
     reroot t a;
     (* Rerooting flips edges without changing their count, and [a] is a
        root afterwards, so this always adds exactly one edge. *)
-    t.parent.(a) <- (b, why);
+    write t a (b, why);
     t.n_edges <- t.n_edges + 1
   end
 
@@ -94,7 +132,47 @@ let edges_in_class t ~member ~find =
     t.parent;
   List.rev !acc
 
-let copy t = { parent = Array.copy t.parent; n_edges = t.n_edges }
+let begin_trail t ~n_ids =
+  if t.armed then invalid_arg "Proof_forest.begin_trail: a trail is already armed";
+  if Array.length t.saved < n_ids then begin
+    let saved = Array.make (max n_ids (Array.length t.parent)) 0 in
+    Array.blit t.saved 0 saved 0 (Array.length t.saved);
+    t.saved <- saved
+  end;
+  t.armed <- true;
+  t.epoch <- t.epoch + 1;
+  t.base <- n_ids;
+  t.top <- n_ids;
+  t.base_edges <- t.n_edges
+
+let trail_entries t = t.trail_len
+
+let end_trail t =
+  t.armed <- false;
+  t.base <- 0;
+  t.trail <- [];
+  t.trail_len <- 0
+
+let undo_trail t =
+  List.iter (fun (i, edge) -> t.parent.(i) <- edge) t.trail;
+  let hi = min t.top (Array.length t.parent) in
+  if hi > t.base then Array.fill t.parent t.base (hi - t.base) no_parent;
+  t.n_edges <- t.base_edges;
+  end_trail t
+
+let copy t =
+  {
+    parent = Array.copy t.parent;
+    n_edges = t.n_edges;
+    armed = false;
+    base = 0;
+    top = 0;
+    epoch = 0;
+    saved = [||];
+    trail = [];
+    trail_len = 0;
+    base_edges = 0;
+  }
 
 let pp_reason fmt = function
   | Asserted -> Format.pp_print_string fmt "asserted"

@@ -33,4 +33,24 @@ val edges_in_class : t -> member:int -> find:(int -> int) -> step list
     the construction trace of the e-class. *)
 
 val copy : t -> t
+(** Snapshot for push/pop; the copy carries no trail. *)
+
+(** {1 Undo trail}
+
+    While armed, the first write to the edge slot of each id below
+    [n_ids] (the ids that existed at {!begin_trail}) saves the old edge
+    once; slots of ids allocated since are cleared on undo. *)
+
+val begin_trail : t -> n_ids:int -> unit
+(** @raise Invalid_argument if a trail is already armed. *)
+
+val trail_entries : t -> int
+(** Slots saved since {!begin_trail}. *)
+
+val undo_trail : t -> unit
+(** Restore the edges and edge count at {!begin_trail}, and disarm. *)
+
+val end_trail : t -> unit
+(** Keep the current state and disarm. *)
+
 val pp_reason : Format.formatter -> reason -> unit

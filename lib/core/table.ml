@@ -1,9 +1,31 @@
 type row = { mutable value : Value.t; mutable stamp : int; mutable first_log : int }
 
+(* One saved slot of the undo trail. *)
+type undo =
+  | Row of row * Value.t * int * int
+      (* a pre-transaction row: record, value, stamp, first_log *)
+  | Log_row of int * row  (* a pre-transaction log slot re-pointed by a revival *)
+  | Revival of Value.t array * int option
+      (* a key's binding in the pre-transaction revivals map *)
+  | Revivals of int Value.Key_tbl.t  (* the pre-transaction revivals map, swapped out *)
+
+type trail = {
+  tr_log_len : int;
+  tr_saved : unit Value.Key_tbl.t;
+      (* keys whose pre-transaction row is saved, or that were revived
+         inside the transaction (a new row with an old [first_log]) *)
+  tr_removals : int;
+  tr_value_updates : int;
+  tr_bytes : int;
+  tr_revivals_stamp : int;
+  mutable tr_swapped : bool;  (* [revivals] is a map created inside the transaction *)
+  mutable tr_undo : undo list;  (* newest first *)
+}
+
 type t = {
   func : Schema.func;
   uid : int;  (* identity of this incarnation; fresh on create and copy *)
-  data : row Value.Key_tbl.t;
+  data : row Row_map.t;  (* iterates in Value.Key_tbl's order; undoable *)
   (* Append-only log of (key, stamp-at-append), nondecreasing in stamp.
      A log entry is current iff the row still exists and its stamp equals
      the entry's: rows re-stamped later appear again further down the log,
@@ -29,8 +51,9 @@ type t = {
      [iter_range]'s first-occurrence rule. Entries are valid only for
      [revivals_stamp]; the table is reset when a removal at a newer stamp
      starts a fresh hazard window. *)
-  revivals : int Value.Key_tbl.t;
+  mutable revivals : int Value.Key_tbl.t;
   mutable revivals_stamp : int;
+  mutable trail : trail option;  (* undo trail, while armed; see [begin_trail] *)
 }
 
 (* Shared sentinel for log slots whose entry can never be current again.
@@ -58,7 +81,7 @@ let create func =
   {
     func;
     uid = next_uid ();
-    data = Value.Key_tbl.create 64;
+    data = Row_map.create 64;
     log_keys = Array.make 16 [||];
     log_stamps = Array.make 16 0;
     log_rows = Array.make 16 dead_row;
@@ -70,10 +93,11 @@ let create func =
     bytes = 0;
     revivals = Value.Key_tbl.create 8;
     revivals_stamp = min_int;
+    trail = None;
   }
 
 let func t = t.func
-let length t = Value.Key_tbl.length t.data
+let length t = Row_map.length t.data
 let version t = t.version
 let uid t = t.uid
 let removals t = t.removals
@@ -85,7 +109,7 @@ let value_updates t = t.value_updates
    report in telemetry. *)
 let log_length t = t.log_len
 let modeled_bytes t = t.bytes
-let get t key = Value.Key_tbl.find_opt t.data key
+let get t key = Row_map.find_opt t.data key
 
 let log_append t key row stamp =
   if t.log_len >= Array.length t.log_keys then begin
@@ -105,8 +129,36 @@ let log_append t key row stamp =
   t.log_len <- t.log_len + 1;
   t.bytes <- t.bytes + log_entry_cost
 
+let push_undo t u =
+  match t.trail with Some tr -> tr.tr_undo <- u :: tr.tr_undo | None -> ()
+
+(* Before writing a row. A row logged only below the mark existed before
+   the transaction, unless it is a revival (see [set_raw]); one re-stamped
+   since, or created since, needs nothing. *)
+let save_row t key row =
+  match t.trail with
+  | Some tr when row.first_log < tr.tr_log_len && not (Value.Key_tbl.mem tr.tr_saved key) ->
+    Value.Key_tbl.replace tr.tr_saved key ();
+    push_undo t (Row (row, row.value, row.stamp, row.first_log))
+  | Some _ | None -> ()
+
+(* Before a per-key write to [revivals], unless it is already a map of the
+   transaction's own. *)
+let save_revival t key =
+  match t.trail with
+  | Some tr when not tr.tr_swapped -> push_undo t (Revival (key, Value.Key_tbl.find_opt t.revivals key))
+  | Some _ | None -> ()
+
+let reset_revivals t =
+  match t.trail with
+  | Some tr when not tr.tr_swapped ->
+    tr.tr_swapped <- true;
+    push_undo t (Revivals t.revivals);
+    t.revivals <- Value.Key_tbl.create 8
+  | Some _ | None -> Value.Key_tbl.reset t.revivals
+
 let set_raw t key value ~stamp =
-  match Value.Key_tbl.find_opt t.data key with
+  match Row_map.find_opt t.data key with
   | None ->
     let row = { value; stamp; first_log = t.log_len } in
     (* Same-stamp revival: the key was removed at this stamp after being
@@ -116,18 +168,25 @@ let set_raw t key value ~stamp =
       match Value.Key_tbl.find_opt t.revivals key with
       | Some fl ->
         row.first_log <- fl;
+        (match t.trail with
+         | Some tr when fl < tr.tr_log_len ->
+           Value.Key_tbl.replace tr.tr_saved key ();
+           push_undo t (Log_row (fl, t.log_rows.(fl)))
+         | Some _ | None -> ());
         t.log_rows.(fl) <- row;
+        save_revival t key;
         Value.Key_tbl.remove t.revivals key
       | None -> ()
     end;
-    Value.Key_tbl.replace t.data key row;
-    t.bytes <- t.bytes + row_bytes key value;
     log_append t key row stamp;
+    Row_map.add t.data key row;
+    t.bytes <- t.bytes + row_bytes key value;
     t.version <- t.version + 1;
     `Inserted
   | Some row ->
     if Value.equal row.value value then `Unchanged
     else begin
+      save_row t key row;
       let restamped = row.stamp <> stamp in
       t.bytes <- t.bytes + Value.modeled_bytes value - Value.modeled_bytes row.value;
       row.value <- value;
@@ -142,17 +201,19 @@ let set_raw t key value ~stamp =
     end
 
 let remove t key =
-  match Value.Key_tbl.find_opt t.data key with
+  match Row_map.find_opt t.data key with
   | Some row ->
-    Value.Key_tbl.remove t.data key;
+    save_row t key row;
+    Row_map.remove t.data key;
     (* A re-insert at the row's own stamp is still possible only while the
        log's newest stamp equals it; remember where the row was first
        logged so a revival keeps its emission position. *)
     if t.log_len > 0 && t.log_stamps.(t.log_len - 1) = row.stamp then begin
       if t.revivals_stamp <> row.stamp then begin
-        Value.Key_tbl.reset t.revivals;
+        reset_revivals t;
         t.revivals_stamp <- row.stamp
       end;
+      save_revival t key;
       Value.Key_tbl.replace t.revivals key row.first_log
     end;
     row.stamp <- min_int;  (* tombstone: the row's log entries go dead *)
@@ -162,8 +223,62 @@ let remove t key =
     t.version <- t.version + 1;
     t.removals <- t.removals + 1
   | None -> ()
-let iter f t = Value.Key_tbl.iter f t.data
-let fold f t init = Value.Key_tbl.fold f t.data init
+let iter f t = Row_map.iter f t.data
+let fold f t init = Row_map.fold f t.data init
+
+let begin_trail t =
+  if t.trail <> None then invalid_arg "Table.begin_trail: a trail is already armed";
+  Row_map.arm t.data;
+  t.trail <-
+    Some
+      {
+        tr_log_len = t.log_len;
+        tr_saved = Value.Key_tbl.create 16;
+        tr_removals = t.removals;
+        tr_value_updates = t.value_updates;
+        tr_bytes = t.bytes;
+        tr_revivals_stamp = t.revivals_stamp;
+        tr_swapped = false;
+        tr_undo = [];
+      }
+
+let armed t = t.trail <> None
+let trail_entries t = match t.trail with Some tr -> List.length tr.tr_undo | None -> 0
+
+let end_trail t =
+  Row_map.disarm t.data;
+  t.trail <- None
+
+let undo_trail t =
+  match t.trail with
+  | None -> ()
+  | Some tr ->
+    (* the bindings (and the bucket layout) first, then the saved contents *)
+    Row_map.undo t.data;
+    for i = tr.tr_log_len to t.log_len - 1 do
+      t.log_keys.(i) <- [||];
+      t.log_rows.(i) <- dead_row
+    done;
+    List.iter
+      (function
+        | Row (row, value, stamp, first_log) ->
+          row.value <- value;
+          row.stamp <- stamp;
+          row.first_log <- first_log
+        | Log_row (i, row) -> t.log_rows.(i) <- row
+        | Revival (key, Some fl) -> Value.Key_tbl.replace t.revivals key fl
+        | Revival (key, None) -> Value.Key_tbl.remove t.revivals key
+        | Revivals old -> t.revivals <- old)
+      tr.tr_undo;
+    t.log_len <- tr.tr_log_len;
+    t.removals <- tr.tr_removals;
+    t.value_updates <- tr.tr_value_updates;
+    t.bytes <- tr.tr_bytes;
+    t.revivals_stamp <- tr.tr_revivals_stamp;
+    (* versions stay monotone: an undo is one more mutation *)
+    t.version <- t.version + 1;
+    t.distinct_cache <- None;
+    end_trail t
 
 (* First log index with stamp >= lo (stamps are nondecreasing). *)
 let log_lower_bound t lo =
@@ -177,8 +292,7 @@ let log_lower_bound t lo =
 let entries_since t lo = t.log_len - log_lower_bound t lo
 
 let iter_range t ~lo ~hi f =
-  if lo <= 0 then
-    Value.Key_tbl.iter (fun key row -> if row.stamp < hi then f key row) t.data
+  if lo <= 0 then Row_map.iter (fun key row -> if row.stamp < hi then f key row) t.data
   else begin
     let start = log_lower_bound t lo in
     (* A key removed and re-inserted within one timestamp (rebuild rounds)
@@ -189,7 +303,7 @@ let iter_range t ~lo ~hi f =
       let s = t.log_stamps.(i) in
       if s < hi then begin
         let key = t.log_keys.(i) in
-        match Value.Key_tbl.find_opt t.data key with
+        match Row_map.find_opt t.data key with
         | Some row when row.stamp = s ->
           if not (Value.Key_tbl.mem seen key) then begin
             Value.Key_tbl.replace seen key ();
@@ -206,8 +320,7 @@ let iter_range t ~lo ~hi f =
    [first_log] pins a same-stamp revival to its original entry, which is
    exactly where [iter_range]'s first-occurrence dedupe fires it. *)
 let iter_delta t ~lo ~hi f =
-  if lo <= 0 then
-    Value.Key_tbl.iter (fun key row -> if row.stamp < hi then f key row) t.data
+  if lo <= 0 then Row_map.iter (fun key row -> if row.stamp < hi then f key row) t.data
   else begin
     let start = log_lower_bound t lo in
     for i = start to t.log_len - 1 do
@@ -224,7 +337,7 @@ let iter_log_suffix t ~from f =
   let seen = Value.Key_tbl.create (max 16 (t.log_len - from)) in
   for i = from to t.log_len - 1 do
     let key = t.log_keys.(i) in
-    match Value.Key_tbl.find_opt t.data key with
+    match Row_map.find_opt t.data key with
     | Some row when row.stamp = t.log_stamps.(i) ->
       if not (Value.Key_tbl.mem seen key) then begin
         Value.Key_tbl.replace seen key ();
@@ -250,7 +363,7 @@ let column_distincts t =
   | Some _ | None ->
     let cols = Schema.arity t.func + 1 in
     let tbls = Array.init cols (fun _ -> VTbl.create 64) in
-    Value.Key_tbl.iter
+    Row_map.iter
       (fun key row ->
         Array.iteri (fun i v -> VTbl.replace tbls.(i) v ()) key;
         VTbl.replace tbls.(cols - 1) row.value ())
@@ -291,10 +404,10 @@ let int_reader (f : Schema.func) i : (Value.t array -> row -> int) option =
   | Ty.Unit | Ty.Rational | Ty.String | Ty.Set _ | Ty.Vec _ -> None
 
 let copy t =
-  let data = Value.Key_tbl.create (Value.Key_tbl.length t.data) in
-  Value.Key_tbl.iter
+  let data = Row_map.create (Row_map.length t.data) in
+  Row_map.iter
     (fun k r ->
-      Value.Key_tbl.replace data (Array.copy k)
+      Row_map.add data (Array.copy k)
         { value = r.value; stamp = r.stamp; first_log = r.first_log })
     t.data;
   let log_keys = Array.map Fun.id (Array.sub t.log_keys 0 (max 16 t.log_len)) in
@@ -303,7 +416,7 @@ let copy t =
      the copied row for its key says so (same currency rule as the walks). *)
   let log_rows = Array.make (max 16 t.log_len) dead_row in
   for i = 0 to t.log_len - 1 do
-    match Value.Key_tbl.find_opt data t.log_keys.(i) with
+    match Row_map.find_opt data t.log_keys.(i) with
     | Some r when r.stamp = t.log_stamps.(i) && r.first_log = i -> log_rows.(i) <- r
     | Some _ | None -> ()
   done;
@@ -324,4 +437,5 @@ let copy t =
     bytes = t.bytes;
     revivals;
     revivals_stamp = t.revivals_stamp;
+    trail = None;
   }

@@ -29,8 +29,9 @@ val version : t -> int
 val uid : t -> int
 (** Globally unique identity of this table incarnation. Fresh on [create]
     {e and} on [copy], so caches keyed by uid can never confuse two tables
-    for the same function across push/pop or transaction rollback — version
-    counters alone can coincide between incarnations. *)
+    for the same function across push/pop — version counters alone can
+    coincide between incarnations. A transaction rollback keeps the uid
+    (the table is undone in place), so the engine clears its caches then. *)
 
 val removals : t -> int
 (** Rows ever removed from this incarnation. An unchanged count between two
@@ -67,12 +68,16 @@ val set_raw : t -> Value.t array -> Value.t -> stamp:int -> [ `Inserted | `Updat
 
 val remove : t -> Value.t array -> unit
 val iter : (Value.t array -> row -> unit) -> t -> unit
+(** Every live row once, in the row map's bucket order (that of
+    [Value.Key_tbl]). An undo restores the bucket layout, and so the
+    order, along with the rows. *)
+
 val fold : (Value.t array -> row -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter_range : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
 (** Visit rows whose current stamp s satisfies [lo <= s < hi]. When [lo > 0]
     this walks only the stamp-ordered log tail (each surviving row exactly
-    once); [lo = 0] falls back to a full scan filtered by [hi]. *)
+    once); [lo = 0] is {!iter} filtered by [hi]. *)
 
 val iter_delta : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
 (** Exactly {!iter_range} — same rows, same values, same order — but the
@@ -92,7 +97,34 @@ val column_distincts : t -> int array
     cardinality estimation. Cached against [version]. *)
 
 val copy : t -> t
-(** Deep copy (for push/pop). *)
+(** Deep copy (for push/pop). The copy carries no trail. *)
+
+(** {2 Undo trail}
+
+    Transactions roll back by undoing writes. While a trail is armed, the
+    first write to each row that existed at {!begin_trail} (an update, a
+    re-stamp or a removal) saves the row's old contents once; the row map
+    ({!Row_map}) logs its structural changes, so an undo drops the rows
+    inserted since and restores the bucket layout, and with it the order
+    of every later scan; the log is truncated back to its mark. *)
+
+val begin_trail : t -> unit
+(** Arm a trail at the current state.
+    @raise Invalid_argument if one is already armed. *)
+
+val armed : t -> bool
+
+val trail_entries : t -> int
+(** Slots saved since {!begin_trail}: rows, log slots and revival
+    bindings. *)
+
+val undo_trail : t -> unit
+(** Restore the rows, the log and the counters at {!begin_trail}, and
+    disarm. {!version} is bumped, never rewound, so caches validated by it
+    see the undo as one more mutation. *)
+
+val end_trail : t -> unit
+(** Keep the current state and disarm. *)
 
 (** {2 Typed column readers}
 

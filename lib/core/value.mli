@@ -40,4 +40,8 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Hashtable over value-array keys (the backing maps of egglog functions). *)
+val hash_key : t array -> int
+val equal_key : t array -> t array -> bool
+
 module Key_tbl : Hashtbl.S with type key = t array
+(** Hashed on {!hash_key}, compared with {!equal_key}. *)

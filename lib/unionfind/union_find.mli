@@ -39,4 +39,26 @@ val n_classes : t -> int
 (** Number of distinct equivalence classes among allocated ids. *)
 
 val copy : t -> t
-(** Snapshot for push/pop support. *)
+(** Snapshot for push/pop support. The copy carries no trail. *)
+
+(** {1 Undo trail}
+
+    Transactions roll back by undoing writes rather than by copying. While
+    a trail is armed, the first write to each id that existed at
+    {!begin_trail} (a union's loser and winner, a path-compression step)
+    saves that slot's old parent and size once; ids allocated since are
+    dropped by truncation. *)
+
+val begin_trail : t -> unit
+(** Arm a trail at the current state.
+    @raise Invalid_argument if one is already armed. *)
+
+val trail_entries : t -> int
+(** Slots saved since {!begin_trail}. *)
+
+val undo_trail : t -> unit
+(** Restore the state at {!begin_trail} exactly (path compression
+    included) and disarm. *)
+
+val end_trail : t -> unit
+(** Keep the current state and disarm. *)

@@ -801,6 +801,367 @@ let test_extract_memo_invalidation () =
       run {|(delete (Var "y"))|};
       expect "delete" 3)
 
+(* Rollback then continue == never ran. Engine A runs a prefix, then a
+   unit that fails, then a suffix; engine B runs the prefix and the suffix
+   only. Dumps cannot see the timestamp log, the union-find layout or the
+   proof forest, so besides the dump the two must agree on the timestamp,
+   the id count, each table's row count and log length, every id's
+   representative, every class's proof-forest edges, the modeled bytes
+   and the declared sorts, right after the failing unit and after the
+   suffix; on the suffix's outputs, run reports and join-plan rebuilds; on
+   explanations; and on all of it again after popping into the database
+   the prefix pushed. Each failing unit writes before it
+   fails, through one of: a merge conflict, a failed check, a primitive
+   error mid-run, a budget stop inside [with_transaction], a union-heavy
+   run (path compression must be undone), a declaration, and an
+   (include ...) that pops into the stacked database and mutates it. *)
+let rollback_header =
+  {|
+    (relation edge (i64 i64))
+    (relation path (i64 i64))
+    (rule ((edge x y)) ((path x y)))
+    (rule ((path x y) (edge y z)) ((path x z)))
+    (datatype Math (Num i64) (Add Math Math))
+    (rewrite (Add a b) (Add b a))
+    (rule ((= e (Add (Num a) (Num b))) (< (+ a b) 24)) ((union e (Num (+ a b)))))
+    (function g (i64) i64 :merge (max old new))
+    (function f (i64) i64)
+    (function h (i64) Math)
+    (relation trigger (i64))
+    (rule ((trigger x) (path x y)) ((edge y (/ y (- x x)))))
+    (relation grow (i64))
+    (rule ((grow n)) ((grow (+ n 1))))
+    (set (f 0) 1)
+    (set (g 0) 0)
+    (Add (Num 0) (Num 1)) (Add (Num 2) (Num 3)) (Add (Num 4) (Num 5))
+    (Add (Num 6) (Num 7)) (Add (Num 8) (Num 9))
+  |}
+
+type rb_op =
+  | Edge of int * int
+  | Union of int * int
+  | Term of int * int
+  | Set_g of int * int
+  | Run of int
+  | Explain of int * int
+
+let rb_op_src = function
+  | Edge (a, b) -> Printf.sprintf "(edge %d %d)" a b
+  | Union (a, b) -> Printf.sprintf "(union (Num %d) (Num %d))" a b
+  | Term (a, b) -> Printf.sprintf "(Add (Num %d) (Num %d))" a b
+  | Set_g (a, b) -> Printf.sprintf "(set (g %d) %d)" a b
+  | Run k -> Printf.sprintf "(run %d)" k
+  | Explain (a, b) -> Printf.sprintf "(explain (Num %d) (Num %d))" a b
+
+let gen_rb_op =
+  QCheck2.Gen.(
+    let small = int_range 0 9 in
+    frequency
+      [
+        (4, map2 (fun a b -> Edge (a, b)) small small);
+        (3, map2 (fun a b -> Union (a, b)) small small);
+        (2, map2 (fun a b -> Term (a, b)) small small);
+        (2, map2 (fun a b -> Set_g (a, b)) small small);
+        (1, map (fun k -> Run k) (int_range 1 3));
+        (1, map2 (fun a b -> Explain (a, b)) small small);
+      ])
+
+let n_failing_units = 9
+
+type rb_case = {
+  rb_before_push : rb_op list;
+  rb_after_push : rb_op list;
+  rb_unit : int;
+  rb_unit_ops : rb_op list;
+  rb_unions : (int * int) list;
+  rb_suffix : rb_op list;
+}
+
+let gen_rb_case =
+  QCheck2.Gen.(
+    let ops n = list_size (int_range 0 n) gen_rb_op in
+    let ids = pair (int_range 0 9) (int_range 0 9) in
+    map3
+      (fun (b, a) (u, uo, un) s ->
+        {
+          rb_before_push = b;
+          rb_after_push = a;
+          rb_unit = u;
+          rb_unit_ops = uo;
+          rb_unions = un;
+          rb_suffix = s;
+        })
+      (pair (ops 6) (ops 8))
+      (triple (int_range 0 (n_failing_units - 1)) (ops 5) (list_size (int_range 5 12) ids))
+      (ops 8))
+
+let rb_include_file =
+  lazy
+    (let path = Filename.temp_file "egglog-rollback" ".egg" in
+     Out_channel.with_open_text path (fun oc ->
+         output_string oc
+           {|(pop)
+             (set (g 0) 9)
+             (edge 7 8) (edge 8 7) (Num 77) (union (Num 1) (Num 2))
+             (run 2)
+             (push)
+             (edge 9 9)
+             (check (edge 300 300))|});
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     path)
+
+let rb_run eng src =
+  match E.run_string eng src with
+  | outs -> String.concat "|" outs
+  | exception E.Engine.Egglog_error msg -> "error: " ^ msg
+
+(* The failing units; each writes first and must raise. *)
+let rb_failing_unit eng c =
+  let run src = ignore (E.run_string eng src) in
+  let ops () =
+    run "(set (g 0) 7)";
+    List.iter (fun op -> run (rb_op_src op)) c.rb_unit_ops
+  in
+  let txn f = E.Engine.with_transaction eng f in
+  match c.rb_unit with
+  | 0 -> txn (fun () -> ops (); run "(run 1)"; run "(set (f 0) 2)")
+  | 1 -> run "(check (= (h 1) (h 2)))"
+  | 2 -> txn (fun () -> ops (); run "(trigger 0) (edge 0 1) (run 5)")
+  | 3 ->
+    txn (fun () ->
+        ops ();
+        let limit = E.Engine.total_rows eng + 25 in
+        let (), reports =
+          E.Engine.collect_reports eng (fun () ->
+              run "(grow 0)";
+              run (Printf.sprintf "(run 200 :node-limit %d)" limit))
+        in
+        if
+          List.exists
+            (fun (r : E.Engine.run_report) ->
+              match r.E.Engine.stop_reason with E.Engine.Node_limit _ -> true | _ -> false)
+            reports
+        then failwith "budget stop: roll the request back")
+  | 4 ->
+    txn (fun () ->
+        List.iter (fun (a, b) -> run (Printf.sprintf "(union (Num %d) (Num %d))" a b)) c.rb_unions;
+        run "(run 2)";
+        ops ();
+        run {|(panic "abort after unions")|})
+  | 5 -> run "(datatype T (A i64) (B Nonexistent))"
+  | 6 ->
+    txn (fun () ->
+        run "(sort Z) (function hz (i64) Z) (relation fresh (i64))";
+        run "(fresh 1) (hz 1) (rule ((fresh x)) ((edge x x)))";
+        ops ();
+        run "(run 2)";
+        run {|(panic "abort after declarations")|})
+  | 7 -> run (Printf.sprintf "(include %S)" (Lazy.force rb_include_file))
+  | _ -> txn (fun () -> run (Printf.sprintf "(include %S)" (Lazy.force rb_include_file)))
+
+let rb_state eng =
+  let db = E.Engine.database eng in
+  let tables = ref [] in
+  E.Database.iter_tables db (fun t ->
+      tables :=
+        (E.Symbol.name (E.Table.func t).E.Schema.name, E.Table.length t, E.Table.log_length t)
+        :: !tables);
+  let reps =
+    List.init (E.Database.n_ids db) (fun i ->
+        E.Value.to_string (E.Database.canon db (E.Value.VId i)))
+  in
+  (* every class's proof-forest edges, read without walking them *)
+  let edges =
+    List.init (E.Database.n_ids db) (fun i ->
+        if E.Database.canon db (E.Value.VId i) <> E.Value.VId i then []
+        else
+          List.map
+            (fun (s : E.Proof_forest.step) ->
+              Format.asprintf "%d-%d:%a" s.E.Proof_forest.from_id s.E.Proof_forest.to_id
+                E.Proof_forest.pp_reason s.E.Proof_forest.why)
+            (E.Database.class_history db (E.Value.VId i)))
+  in
+  ( (E.Serialize.dump_string eng, E.Database.timestamp db, E.Database.n_ids db),
+    (List.rev !tables, String.concat " " reps, edges, E.Engine.modeled_bytes eng),
+    List.map (fun s -> E.Database.is_sort db (E.Symbol.intern s)) [ "T"; "Z" ] )
+
+(* Explanations read the proof forest; they run last since they may
+   insert the terms they name. *)
+let rb_explain eng =
+  List.init 9 (fun i -> rb_run eng (Printf.sprintf "(explain (Num %d) (Num %d))" i (i + 1)))
+
+(* The rules' cached join plans are engine state too: a rollback that kept
+   plans built inside the transaction would replan (or not) differently
+   during the suffix, which these counters show. *)
+let rb_counting_plans f =
+  let count name =
+    Option.value ~default:0 (List.assoc_opt name (E.Telemetry.snapshot ()).E.Telemetry.sn_counters)
+  in
+  E.Telemetry.reset ();
+  E.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      E.Telemetry.disable ();
+      E.Telemetry.reset ())
+    (fun () ->
+      let result = f () in
+      (result, (count "join.plans_built", count "join.replans")))
+
+let rb_session c ~jobs ~fail =
+  let eng = E.Engine.create ~jobs () in
+  let run_ops ops = List.iter (fun op -> ignore (rb_run eng (rb_op_src op))) ops in
+  ignore (E.run_string eng rollback_header);
+  run_ops c.rb_before_push;
+  ignore (E.run_string eng "(push)");
+  run_ops c.rb_after_push;
+  if fail then begin
+    match rb_failing_unit eng c with
+    | () -> QCheck2.Test.fail_reportf "failing unit %d did not fail" c.rb_unit
+    | exception E.Engine.Egglog_error _ -> ()
+  end;
+  let after_unit = rb_state eng in
+  let (outputs, reports), planning =
+    rb_counting_plans (fun () ->
+        E.Engine.collect_reports eng (fun () ->
+            List.map (fun op -> rb_run eng (rb_op_src op)) c.rb_suffix))
+  in
+  let after_suffix = (rb_state eng, rb_explain eng) in
+  let popped = rb_run eng "(pop)" in
+  ( after_unit,
+    outputs,
+    List.map report_fingerprint reports,
+    planning,
+    after_suffix,
+    popped,
+    (rb_state eng, rb_explain eng) )
+
+let print_rb_case c =
+  let ops l = String.concat " " (List.map rb_op_src l) in
+  Printf.sprintf "prefix: %s (push) %s\nunit %d: ops %s; unions %s\nsuffix: %s"
+    (ops c.rb_before_push) (ops c.rb_after_push) c.rb_unit (ops c.rb_unit_ops)
+    (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d=%d" a b) c.rb_unions))
+    (ops c.rb_suffix)
+
+let prop_rollback_never_ran =
+  QCheck2.Test.make ~name:"rollback then continue == never ran (jobs 1, 2)" ~count:120
+    ~print:print_rb_case gen_rb_case (fun c ->
+      List.for_all
+        (fun jobs -> rb_session c ~jobs ~fail:true = rb_session c ~jobs ~fail:false)
+        [ 1; 2 ])
+
+(* Table scans inherit the row map's iteration order, so it must be
+   exactly [Value.Key_tbl]'s (fixed-count workloads depend on it), and an
+   undo must restore it exactly, bucket growth included. 120 keys against
+   16 initial buckets force several doublings. *)
+let prop_row_map_order =
+  let gen_ops =
+    QCheck2.Gen.(
+      list_size (int_range 0 150) (pair bool (int_range 0 120)))
+  in
+  QCheck2.Test.make ~name:"row map: Key_tbl iteration order, exact undo" ~count:300
+    QCheck2.Gen.(triple gen_ops gen_ops gen_ops)
+    (fun (prefix, mid, suffix) ->
+      let key k = [| E.Value.VInt k; E.Value.VInt (k * 7) |] in
+      let apply_map m (add, k) =
+        match E.Row_map.find_opt m (key k) with
+        | None -> if add then E.Row_map.add m (key k) k
+        | Some _ -> if not add then E.Row_map.remove m (key k)
+      in
+      let apply_tbl t (add, k) =
+        if add then (if not (E.Value.Key_tbl.mem t (key k)) then E.Value.Key_tbl.replace t (key k) k)
+        else E.Value.Key_tbl.remove t (key k)
+      in
+      let order_map m = List.rev (E.Row_map.fold (fun _ v acc -> v :: acc) m []) in
+      let order_tbl t = List.rev (E.Value.Key_tbl.fold (fun _ v acc -> v :: acc) t []) in
+      let m = E.Row_map.create 0 and t = E.Value.Key_tbl.create 0 in
+      List.iter (apply_map m) (prefix @ mid @ suffix);
+      List.iter (apply_tbl t) (prefix @ mid @ suffix);
+      let undone = E.Row_map.create 0 and never = E.Row_map.create 0 in
+      List.iter (apply_map undone) prefix;
+      List.iter (apply_map never) prefix;
+      E.Row_map.arm undone;
+      List.iter (apply_map undone) mid;
+      E.Row_map.undo undone;
+      let same_after_undo =
+        order_map undone = order_map never && E.Row_map.length undone = E.Row_map.length never
+      in
+      List.iter (apply_map undone) suffix;
+      List.iter (apply_map never) suffix;
+      order_map m = order_tbl t
+      && E.Row_map.length m = E.Value.Key_tbl.length t
+      && same_after_undo
+      && order_map undone = order_map never)
+
+(* The same contract one layer down, on a bare table: undo then continue
+   == never ran, and commit == no trail at all. Few keys and rare stamp
+   bumps make same-stamp remove/re-insert pairs (revivals) common, the
+   case where an insert re-points an old log slot. Every delta window is
+   compared through both walks. *)
+type tb_op = T_set of int * int | T_remove of int | T_bump
+
+let gen_tb_ops =
+  QCheck2.Gen.(
+    list_size (int_range 0 25)
+      (frequency
+         [
+           (5, map2 (fun k v -> T_set (k, v)) (int_range 0 5) (int_range 0 3));
+           (3, map (fun k -> T_remove k) (int_range 0 5));
+           (1, pure T_bump);
+         ]))
+
+let tb_func =
+  {
+    E.Schema.name = E.Symbol.intern "tb";
+    arg_tys = [| E.Ty.Int |];
+    ret_ty = E.Ty.Int;
+    merge = E.Schema.Merge_panic;
+    default = E.Schema.Default_panic;
+    cost = 1;
+    is_relation = false;
+  }
+
+let tb_apply t stamp = function
+  | T_set (k, v) -> ignore (E.Table.set_raw t [| E.Value.VInt k |] (E.Value.VInt v) ~stamp:!stamp)
+  | T_remove k -> E.Table.remove t [| E.Value.VInt k |]
+  | T_bump -> incr stamp
+
+let tb_observe t stamp =
+  let collect walk lo =
+    let acc = ref [] in
+    walk t ~lo ~hi:(stamp + 1) (fun key (row : E.Table.row) ->
+        acc := (E.Value.to_string key.(0), E.Value.to_string row.E.Table.value, row.E.Table.stamp) :: !acc);
+    List.rev !acc
+  in
+  ( List.init (stamp + 2) (fun lo -> (collect E.Table.iter_delta lo, collect E.Table.iter_range lo)),
+    (E.Table.length t, E.Table.log_length t, E.Table.modeled_bytes t),
+    (E.Table.removals t, E.Table.value_updates t) )
+
+let prop_table_trail =
+  QCheck2.Test.make ~name:"table trail: undo == never ran, commit == no trail" ~count:500
+    QCheck2.Gen.(triple gen_tb_ops gen_tb_ops gen_tb_ops)
+    (fun (prefix, mid, suffix) ->
+      let session ~trail ~undo =
+        let t = E.Table.create tb_func and stamp = ref 0 in
+        List.iter (tb_apply t stamp) prefix;
+        let stamp0 = !stamp in
+        if trail then E.Table.begin_trail t;
+        if trail || not undo then List.iter (tb_apply t stamp) mid;
+        if trail then begin
+          let v = E.Table.version t in
+          if undo then begin
+            E.Table.undo_trail t;
+            stamp := stamp0;
+            if E.Table.version t <= v then QCheck2.Test.fail_report "undo rewound the version"
+          end
+          else E.Table.end_trail t
+        end;
+        let after = tb_observe t !stamp in
+        List.iter (tb_apply t stamp) suffix;
+        (after, tb_observe t !stamp)
+      in
+      session ~trail:true ~undo:true = session ~trail:false ~undo:true
+      && session ~trail:true ~undo:false = session ~trail:false ~undo:false)
+
 let () =
   Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;
   try
@@ -823,6 +1184,9 @@ let () =
             prop_diff_delta_ranges;
             prop_jobs_differential;
             prop_jobs_differential_limits;
+            prop_rollback_never_ran;
+            prop_table_trail;
+            prop_row_map_order;
           ] );
       ( "scheduling",
         [ Alcotest.test_case "backoff unbans" `Quick test_backoff_unbans ] );

@@ -659,6 +659,73 @@ let with_telemetry f =
       E.Telemetry.flightrec_configure ~capacity:512)
     f
 
+(* A request costs what it writes: its undo trail saves only the
+   pre-request slots it overwrites, so the same request saves the same
+   number of slots against a 10-row session and a 3 000-row one. A
+   snapshot per request (or per command) would grow with the session. *)
+let undo_entries () =
+  match List.assoc_opt "txn.undo_entries" (E.Telemetry.snapshot ()).E.Telemetry.sn_counters with
+  | Some n -> n
+  | None -> 0
+
+let undo_schema =
+  "(relation edge (i64 i64)) (relation path (i64 i64))\n\
+   (rule ((edge x y)) ((path x y)))\n\
+   (rule ((path x y) (edge y z)) ((path x z)))\n\
+   (function best (i64) i64 :merge (max old new))\n\
+   (sort C) (function node (i64) C)\n\
+   (set (best 0) 1) (node 1) (node 2)\n"
+
+(* [n] disjoint edges: 2n rows once their paths are derived *)
+let undo_session_program n =
+  undo_schema
+  ^ String.concat " " (List.init n (fun i -> Printf.sprintf "(edge %d %d)" (10 * i) ((10 * i) + 1)))
+  ^ " (run 5)"
+
+let test_undo_trail_bound () =
+  let dir = fresh_dir () in
+  with_telemetry (fun () ->
+      with_server dir (fun sv ->
+          let c = connect sv in
+          check_ok "small session" (rpc c (run_req ~id:1 ~session:"small" (undo_session_program 3)));
+          check_ok "large session"
+            (rpc c (run_req ~id:2 ~session:"large" (undo_session_program 1500)));
+          let request =
+            "(set (best 0) 5) (union (node 1) (node 2)) (edge 900001 900002) (edge 900002 900003) \
+             (run 1000)"
+          in
+          let delta session id =
+            let before = undo_entries () in
+            check_ok session (rpc c (run_req ~id ~session request));
+            undo_entries () - before
+          in
+          let small = delta "small" 3 and large = delta "large" 4 in
+          (* (best 0)'s row, both node rows' slots, the union-find slots *)
+          Alcotest.(check bool) "the request overwrote something" true (small > 0);
+          Alcotest.(check int) "undo entries independent of session size" small large;
+          close_client c));
+  cleanup_dir dir;
+  (* A top-level (run N) saves at most one entry per pre-command row and id. *)
+  with_telemetry (fun () ->
+      let eng = E.Engine.create () in
+      ignore
+        (E.run_string eng
+           "(datatype M (Num i64) (Add M M) (Mul M M))\n\
+            (rewrite (Add a b) (Add b a))\n\
+            (rewrite (Mul a b) (Mul b a))\n\
+            (rewrite (Add a (Add b c)) (Add (Add a b) c))\n\
+            (rewrite (Mul a (Add b c)) (Add (Mul a b) (Mul a c)))\n\
+            (rewrite (Add (Num x) (Num y)) (Num (+ x y)))\n\
+            (define e (Mul (Add (Num 1) (Num 2)) (Add (Num 3) (Mul (Num 4) (Num 5)))))\n\
+            (run 1)");
+      let bound = E.Engine.total_rows eng + E.Database.n_ids (E.Engine.database eng) in
+      let before = undo_entries () in
+      ignore (E.run_string eng "(run 3)");
+      let saved = undo_entries () - before in
+      Alcotest.(check bool) "the run overwrote something" true (saved > 0);
+      if saved > bound then
+        Alcotest.failf "(run 3) saved %d undo entries, more than %d rows + ids" saved bound)
+
 let trace_id_of reply =
   match Json.member "trace_id" reply with
   | Some (Json.Str s) -> s
@@ -943,6 +1010,8 @@ let () =
       ( "containment",
         [
           Alcotest.test_case "failed request rolls back" `Quick test_failed_request_rolls_back;
+          Alcotest.test_case "undo trail grows with writes, not session size" `Quick
+            test_undo_trail_bound;
           Alcotest.test_case "budget rejection rolls back" `Quick
             test_budget_rejection_rolls_back;
           Alcotest.test_case "quota rejection" `Quick test_quota_rejection;

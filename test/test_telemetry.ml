@@ -542,7 +542,7 @@ let test_trie_depth_not_a_timing () =
    database is answered from the engine's memo. *)
 let deterministic_counters =
   [ "engine.iterations"; "engine.matches_applied"; "engine.tuples_inserted"; "db.unions";
-    "extract.nodes_evaluated"; "extract.memo_hits" ]
+    "extract.nodes_evaluated"; "extract.memo_hits"; "txn.undo_entries" ]
 
 let test_counters_cross_jobs () =
   let counters_at jobs =
@@ -564,6 +564,8 @@ let test_counters_cross_jobs () =
     [ 2; 4 ];
   Alcotest.(check bool) "nodes evaluated" true (List.assoc "extract.nodes_evaluated" c1 > 0);
   Alcotest.(check int) "second extraction hits the memo" 1 (List.assoc "extract.memo_hits" c1);
+  (* (run 4) overwrites rows and union-find slots that (define e ...) made *)
+  Alcotest.(check bool) "undo trail saved slots" true (List.assoc "txn.undo_entries" c1 > 0);
   fresh ()
 
 (* ---- flight recorder ---- *)

@@ -97,8 +97,64 @@ let prop_class_count =
         unions;
       Union_find.n_classes uf = 15 - !effective)
 
+(* Undo trail: after undo the structure behaves exactly like a copy taken
+   when the trail was armed — ids, classes, representatives, the dirty log,
+   and the winners of any later unions (which read the sizes). *)
+type uf_op = Make | Union of int * int | Find of int
+
+let prop_undo_trail =
+  let gen_ops =
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (frequency
+           [
+             (1, pure Make);
+             (4, map2 (fun a b -> Union (a, b)) (int_range 0 30) (int_range 0 30));
+             (2, map (fun a -> Find a) (int_range 0 30));
+           ]))
+  in
+  QCheck2.Test.make ~name:"undo trail restores the armed state" ~count:300
+    QCheck2.Gen.(triple gen_ops gen_ops gen_ops)
+    (fun (prefix, mid, suffix) ->
+      let apply uf op =
+        let n = Union_find.size uf in
+        match op with
+        | Make -> ignore (Union_find.make_set uf)
+        | Union (a, b) when a < n && b < n -> ignore (Union_find.union uf a b)
+        | Find a when a < n -> ignore (Union_find.find uf a)
+        | Union _ | Find _ -> ()
+      in
+      let observe uf =
+        let n = Union_find.size uf in
+        ( n,
+          Union_find.n_classes uf,
+          Union_find.dirty uf,
+          List.init n (Union_find.is_canonical uf),
+          List.init n (Union_find.find uf) )
+      in
+      let uf = Union_find.create () in
+      for _ = 1 to 8 do
+        ignore (Union_find.make_set uf)
+      done;
+      List.iter (apply uf) prefix;
+      let snapshot = Union_find.copy uf in
+      Union_find.begin_trail uf;
+      List.iter (apply uf) mid;
+      Union_find.undo_trail uf;
+      let same_now = observe uf = observe snapshot in
+      let winners uf =
+        List.map
+          (fun op ->
+            apply uf op;
+            observe uf)
+          suffix
+      in
+      same_now && winners uf = winners snapshot)
+
 let () =
-  let props = List.map QCheck_alcotest.to_alcotest [ prop_matches_naive; prop_class_count ] in
+  let props =
+    List.map QCheck_alcotest.to_alcotest [ prop_matches_naive; prop_class_count; prop_undo_trail ]
+  in
   Alcotest.run "union_find"
     [
       ( "unit",
