@@ -261,98 +261,98 @@ type atom_card = {
 let prims_of (q : cquery) : prim_app list = List.concat (Array.to_list q.schedule)
 
 let distinct_at (c : atom_card) p =
-  if p < Array.length c.ac_distinct then max 1 c.ac_distinct.(p) else 1
+  if p < Array.length c.ac_distinct then Int.max 1 c.ac_distinct.(p) else 1
+
+(* Does variable [u] occur in [args] before position [p]? Atoms are a few
+   columns wide, so a scan beats building a set. *)
+let rec occurs_before (args : arg array) u p =
+  p > 0
+  &&
+  match args.(p - 1) with
+  | A_var w when w = u -> true
+  | A_var _ | A_const _ -> occurs_before args u (p - 1)
 
 (* Estimated number of values the cursor for [v] enumerates in atom [ai],
    given the set of already-bound variables: start from the atom's row
    count, divide by the distinct count of every bound or constant column
-   (independence assumption), and never exceed the distinct count of the
-   column [v] itself sits in. *)
+   (independence assumption; a repeated bound variable divides once, at
+   its first column), and never exceed the distinct count of the first
+   column [v] itself sits in. Allocates nothing. *)
 let estimate ~(q : cquery) ~(cards : atom_card array) ~(bound : bool array) ai v =
-  let atom = q.atoms.(ai) and c = cards.(ai) in
-  let cand = ref (max 1 c.ac_rows) in
-  let seen = Hashtbl.create 8 in
-  Array.iteri
-    (fun p arg ->
-      match arg with
-      | A_const _ -> cand := max 1 (!cand / distinct_at c p)
-      | A_var u when u <> v && bound.(u) && not (Hashtbl.mem seen u) ->
-        Hashtbl.add seen u ();
-        cand := max 1 (!cand / distinct_at c p)
-      | A_var _ -> ())
-    atom.a_args;
-  let width = ref !cand in
-  (try
-     Array.iteri
-       (fun p arg ->
-         match arg with
-         | A_var u when u = v ->
-           width := distinct_at c p;
-           raise Exit
-         | A_var _ | A_const _ -> ())
-       atom.a_args
-   with Exit -> ());
-  min !cand !width
+  let args = q.atoms.(ai).a_args and c = cards.(ai) in
+  let cand = ref (Int.max 1 c.ac_rows) in
+  let width = ref 0 (* 0 until [v]'s column is seen; distinct counts are >= 1 *) in
+  for p = 0 to Array.length args - 1 do
+    match args.(p) with
+    | A_const _ -> cand := Int.max 1 (!cand / distinct_at c p)
+    | A_var u when u = v -> if !width = 0 then width := distinct_at c p
+    | A_var u ->
+      if bound.(u) && not (occurs_before args u p) then
+        cand := Int.max 1 (!cand / distinct_at c p)
+  done;
+  if !width = 0 then !cand else Int.min !cand !width
 
 (* Greedy cost-based variable ordering: repeatedly pick the unordered join
    variable whose cheapest covering atom enumerates the fewest values under
    the current bound set; break ties toward higher coverage (intersecting
    more atoms prunes more), then toward the smaller variable index so plans
-   are deterministic. *)
-let replan (q : cquery) ~(cards : atom_card array) : cquery =
+   are deterministic. The key (cost, coverage, index) is total, so the scan
+   order over the unordered suffix does not matter. Allocates only the
+   result and the bound set. *)
+let greedy_order (q : cquery) ~(cards : atom_card array) : int array =
   if Array.length cards <> Array.length q.atoms then
-    invalid_arg "Compile.replan: cardinality/atom arity mismatch";
-  let n_vars = q.n_vars in
-  if Array.length q.order <= 1 then q
+    invalid_arg "Compile.greedy_order: cardinality/atom arity mismatch";
+  let n = Array.length q.order in
+  if n <= 1 then q.order
   else begin
-    let occurrences = count_occurrences ~n_vars q.atoms in
-    let covering = Array.make n_vars [] in
-    Array.iteri
-      (fun ai atom ->
-        let seen = Hashtbl.create 8 in
-        Array.iter
-          (function
-            | A_var v when not (Hashtbl.mem seen v) ->
-              Hashtbl.add seen v ();
-              covering.(v) <- ai :: covering.(v)
-            | A_var _ | A_const _ -> ())
-          atom.a_args)
-      q.atoms;
-    let bound = Array.make n_vars false in
-    let remaining = ref (Array.to_list q.order |> List.sort Stdlib.compare) in
-    let order = Array.make (Array.length q.order) 0 in
-    let next = ref 0 in
-    while !remaining <> [] do
-      let best = ref None in
-      List.iter
-        (fun v ->
-          let cost =
-            List.fold_left
-              (fun acc ai -> min acc (estimate ~q ~cards ~bound ai v))
-              max_int covering.(v)
-          in
-          let key = (cost, -List.length covering.(v), v) in
-          match !best with
-          | Some (bkey, _) when Stdlib.compare bkey key <= 0 -> ()
-          | Some _ | None -> best := Some (key, v))
-        !remaining;
-      let v = match !best with Some (_, v) -> v | None -> assert false in
-      order.(!next) <- v;
-      incr next;
-      bound.(v) <- true;
-      remaining := List.filter (fun u -> u <> v) !remaining
+    let order = Array.copy q.order in
+    let bound = Array.make q.n_vars false in
+    for step = 0 to n - 1 do
+      (* order.(step .. n-1) holds the variables not yet ordered *)
+      let best = ref step and best_cost = ref max_int and best_cov = ref 0 in
+      for k = step to n - 1 do
+        let v = order.(k) in
+        let cost = ref max_int and cov = ref 0 in
+        for ai = 0 to Array.length q.atoms - 1 do
+          let args = q.atoms.(ai).a_args in
+          if occurs_before args v (Array.length args) then begin
+            incr cov;
+            cost := Int.min !cost (estimate ~q ~cards ~bound ai v)
+          end
+        done;
+        if k = step
+           || !cost < !best_cost
+           || (!cost = !best_cost
+              && (!cov > !best_cov || (!cov = !best_cov && v < order.(!best))))
+        then begin
+          best := k;
+          best_cost := !cost;
+          best_cov := !cov
+        end
+      done;
+      let v = order.(!best) in
+      order.(!best) <- order.(step);
+      order.(step) <- v;
+      bound.(v) <- true
     done;
-    finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
-      ~name_args:q.name_args ~occurrences ~order
+    order
   end
+
+(* Rebuild [q]'s plan around a new variable order. *)
+let refinish (q : cquery) ~order =
+  let occurrences = count_occurrences ~n_vars:q.n_vars q.atoms in
+  finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
+    ~name_args:q.name_args ~occurrences ~order
+
+let replan (q : cquery) ~(cards : atom_card array) : cquery =
+  let order = greedy_order q ~cards in
+  if Array.length order <= 1 then q else refinish q ~order
 
 let reorder (q : cquery) ~(order : int array) : cquery =
   let sorted a = List.sort Stdlib.compare (Array.to_list a) in
   if sorted order <> sorted q.order then
     invalid_arg "Compile.reorder: order is not a permutation of the query's join variables";
-  let occurrences = count_occurrences ~n_vars:q.n_vars q.atoms in
-  finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
-    ~name_args:q.name_args ~occurrences ~order
+  refinish q ~order
 
 (* ------------------------------------------------------------------ *)
 (* Plan dumps                                                          *)

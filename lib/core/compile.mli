@@ -68,20 +68,31 @@ type atom_card = {
 (** Per-atom cardinality statistics, supplied by the runtime (see
     {!Database.table_stats}). *)
 
+val greedy_order : cquery -> cards:atom_card array -> int array
+(** The join variable order of the greedy cost model: at each step bind the
+    variable whose cheapest covering atom enumerates the fewest values (row
+    count divided by the distinct counts of bound/constant columns, capped
+    by the distinct count of the variable's own column). Ties break toward
+    variables covered by more atoms, then toward the smaller variable index,
+    so the result is deterministic. A query with at most one join variable
+    returns its own [order]. Allocates only the result and a bound set, so
+    the engine can call it on every replan and keep its cached plan when the
+    order comes out unchanged.
+    @raise Invalid_argument when [cards] does not have one entry per atom. *)
+
 val replan : cquery -> cards:atom_card array -> cquery
-(** Recompute the join variable order with a greedy cost model: at each step
-    bind the variable whose cheapest covering atom enumerates the fewest
-    values (row count divided by the distinct counts of bound/constant
-    columns, capped by the distinct count of the variable's own column).
-    Ties break toward variables covered by more atoms, then toward the
-    smaller variable index, so the result is deterministic. Atom and
-    variable numbering are preserved — only [order], [var_depth] and
-    [schedule] change — so compiled actions remain valid. *)
+(** [replan q ~cards] is [reorder q ~order:(greedy_order q ~cards)]
+    (structurally; a query with at most one join variable comes back as
+    [q] itself). Atom and variable numbering are preserved — only [order],
+    [var_depth] and [schedule] change — so compiled actions remain valid,
+    and the plan depends on nothing but [q] and the order. *)
 
 val reorder : cquery -> order:int array -> cquery
 (** Rebuild the plan with an explicit variable order (must be a permutation
-    of the query's join variables). Used by differential tests to check
-    that every ordering produces the same matches. *)
+    of the query's join variables). The engine builds its cached plans this
+    way from {!greedy_order}; differential tests use it to check that every
+    ordering produces the same matches.
+    @raise Invalid_argument when [order] is not such a permutation. *)
 
 val pp_plan : ?cards:atom_card array -> ?lowering:string -> Format.formatter -> cquery -> unit
 (** Deterministic textual plan dump: atoms, variable order (with cost

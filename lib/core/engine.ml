@@ -7,6 +7,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Egglog_error s)) fmt
 let c_iterations = Telemetry.counter "engine.iterations"
 let c_plans_built = Telemetry.counter "join.plans_built"
 let c_replans = Telemetry.counter "join.replans"
+let c_plans_reused = Telemetry.counter "join.plans_reused"
 let c_matches = Telemetry.counter "engine.matches_applied"
 let c_new = Telemetry.counter "engine.tuples_inserted"
 let c_dup = Telemetry.counter "engine.matches_deduplicated"
@@ -83,10 +84,11 @@ type rt_rule = {
   mutable rr_last_stamp : int;
   mutable rr_times_banned : int;
   mutable rr_banned_until : int;
-  mutable rr_plan_sig : string;  (* size-bucket signature the cached plans were built for *)
+  mutable rr_plan_sig : int array;
+      (* size buckets the cached plans were built for: (full, delta) per atom *)
   mutable rr_plans : Compile.cquery array;  (* n_atoms delta variants + the full plan *)
   mutable rr_compiled : Join.compiled array;
-      (* closure-compiled twin of rr_plans, rebuilt with it; [||] when the
+      (* closure-compiled twin of rr_plans, slot for slot; [||] when the
          engine runs with compiled plans disabled *)
 }
 
@@ -182,38 +184,83 @@ let bucket n =
   end
 
 (* The per-rule plan cache key: for each atom, the size bucket of the full
-   table and of the rule's current delta window. The schema and variable
-   structure are fixed per compiled rule, so buckets are all that can
-   shift. *)
+   table and of the rule's current delta window, held pairwise in an int
+   array. The schema and variable structure are fixed per compiled rule, so
+   buckets are all that can shift. [plan_signature_matches] compares in
+   place rather than building a key; a shifted signature gets a fresh
+   array (never mutated afterwards, so transaction snapshots can share
+   it). *)
+let plan_signature_matches eng (q : Compile.cquery) ~low (signature : int array) =
+  let atoms = q.Compile.atoms in
+  let same = ref (Array.length signature = 2 * Array.length atoms) and i = ref 0 in
+  while !same && !i < Array.length atoms do
+    let table = table_of eng atoms.(!i).Compile.a_func in
+    same :=
+      bucket (Table.length table) = signature.(2 * !i)
+      && bucket (Table.entries_since table low) = signature.((2 * !i) + 1);
+    incr i
+  done;
+  !same
+
 let plan_signature eng (q : Compile.cquery) ~low =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun (atom : Compile.atom) ->
-      let table = table_of eng atom.Compile.a_func in
-      Buffer.add_string buf (string_of_int (bucket (Table.length table)));
-      Buffer.add_char buf '.';
-      Buffer.add_string buf (string_of_int (bucket (Table.entries_since table low)));
-      Buffer.add_char buf ';')
-    q.Compile.atoms;
-  Buffer.contents buf
+  Array.init
+    (2 * Array.length q.Compile.atoms)
+    (fun k ->
+      let table = table_of eng q.Compile.atoms.(k / 2).Compile.a_func in
+      if k land 1 = 0 then bucket (Table.length table) else bucket (Table.entries_since table low))
 
-(* Cached cost-based plans for one rule: slot [j < n_atoms] is the
-   semi-naïve variant whose atom [j] is the delta, slot [n_atoms] the
-   full-range plan. Rebuilt only when the size-bucket signature shifts. *)
-(* Lower freshly (re)planned queries to closures. Runs only in the serial
-   pre-phase (plans_for), so the compiled-plans counters are bumped
-   identically at any jobs count. Slots may share one compiled object —
-   compiled evaluators keep all mutable state per search, so concurrent
-   variants are safe. *)
-let compile_plans eng (plans : Compile.cquery array) : Join.compiled array =
-  if not eng.compiled_plans then [||]
-  else Array.map (Join.compile_plan ~fast_paths:eng.fast_paths) plans
+let same_order (a : int array) (b : int array) =
+  let i = ref 0 in
+  while !i < Array.length a && !i < Array.length b && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = Array.length a && !i = Array.length b
 
+(* Index of a plan among [plans.(0 .. upto-1)] with variable order [order],
+   or -1. *)
+let find_order (plans : Compile.cquery array) ~upto (order : int array) =
+  let k = ref 0 in
+  while !k < upto && not (same_order plans.(!k).Compile.order order) do
+    incr k
+  done;
+  if !k < upto then !k else -1
+
+(* The greedy variable order of each of [r]'s plan slots under [cards]
+   (the current statistics of its atoms): slot [j < n_atoms] is the
+   semi-naïve variant whose atom [j] is the rule's delta window, slot
+   [n_atoms] the full-range plan. *)
+let slot_orders eng (r : rt_rule) (cards : Compile.atom_card array) : int array array =
+  let q = r.rr_rule.Compile.cr_query in
+  let n_atoms = Array.length q.Compile.atoms in
+  Array.init (n_atoms + 1) (fun j ->
+      if j = n_atoms then Compile.greedy_order q ~cards
+      else begin
+        let full = cards.(j) in
+        let delta =
+          Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) r.rr_last_stamp
+        in
+        cards.(j) <- delta_card full delta;
+        let order = Compile.greedy_order q ~cards in
+        cards.(j) <- full;
+        order
+      end)
+
+(* Cached cost-based plans for one rule, one per slot (see [slot_orders]).
+   When the size-bucket signature shifts, every slot gets its greedy order
+   again; a plan is a function of the query and its order alone, so a slot
+   whose order the rule already has (in its current plans, or earlier in
+   this replan) shares that plan and its lowered closures. Only a new order
+   is finished and lowered. Runs only in the serial pre-phase, so the plan
+   counters are bumped identically at any jobs count; sharing a compiled
+   object is safe because compiled evaluators keep all mutable state per
+   search. *)
 let plans_for eng (r : rt_rule) : Compile.cquery array =
   let q = r.rr_rule.Compile.cr_query in
   let n_atoms = Array.length q.Compile.atoms in
   if n_atoms = 0 || Array.length q.Compile.order <= 1 then begin
     if Array.length r.rr_plans = 0 then begin
+      Telemetry.bump c_plans_built 1;
+      Telemetry.bump c_plans_reused n_atoms;
       r.rr_plans <- Array.make (n_atoms + 1) q;
       if eng.compiled_plans then
         r.rr_compiled <-
@@ -223,30 +270,38 @@ let plans_for eng (r : rt_rule) : Compile.cquery array =
   end
   else begin
     let low = r.rr_last_stamp in
-    let signature = plan_signature eng q ~low in
-    if signature <> r.rr_plan_sig || Array.length r.rr_plans = 0 then begin
-      if Array.length r.rr_plans > 0 then Telemetry.bump c_replans 1;
-      let cards = atom_cards eng q in
-      let deltas =
-        Array.map
-          (fun (atom : Compile.atom) ->
-            Table.entries_since (table_of eng atom.Compile.a_func) low)
-          q.Compile.atoms
-      in
-      let plans =
-        Array.init (n_atoms + 1) (fun j ->
-            if j = n_atoms then Compile.replan q ~cards
-            else begin
-              let cards' =
-                Array.mapi (fun i c -> if i = j then delta_card c deltas.(i) else c) cards
-              in
-              Compile.replan q ~cards:cards'
-            end)
-      in
-      Telemetry.bump c_plans_built (n_atoms + 1);
+    if Array.length r.rr_plans = 0 || not (plan_signature_matches eng q ~low r.rr_plan_sig)
+    then begin
+      let old_plans = r.rr_plans and old_compiled = r.rr_compiled in
+      if Array.length old_plans > 0 then Telemetry.bump c_replans 1;
+      let orders = slot_orders eng r (atom_cards eng q) in
+      let lower = eng.compiled_plans in
+      let plans = Array.make (n_atoms + 1) q and compiled = Array.make (n_atoms + 1) None in
+      let built = ref 0 in
+      Array.iteri
+        (fun j order ->
+          let old = find_order old_plans ~upto:(Array.length old_plans) order in
+          let earlier = if old >= 0 then -1 else find_order plans ~upto:j order in
+          if old >= 0 then begin
+            plans.(j) <- old_plans.(old);
+            if lower then compiled.(j) <- Some old_compiled.(old)
+          end
+          else if earlier >= 0 then begin
+            plans.(j) <- plans.(earlier);
+            compiled.(j) <- compiled.(earlier)
+          end
+          else begin
+            let plan = Compile.reorder q ~order in
+            incr built;
+            plans.(j) <- plan;
+            if lower then compiled.(j) <- Some (Join.compile_plan ~fast_paths:eng.fast_paths plan)
+          end)
+        orders;
+      Telemetry.bump c_plans_built !built;
+      Telemetry.bump c_plans_reused (n_atoms + 1 - !built);
       r.rr_plans <- plans;
-      r.rr_compiled <- compile_plans eng plans;
-      r.rr_plan_sig <- signature
+      r.rr_compiled <- (if lower then Array.map Option.get compiled else [||]);
+      r.rr_plan_sig <- plan_signature eng q ~low
     end;
     r.rr_plans
   end
@@ -471,7 +526,7 @@ let add_rule eng (rule : Ast.rule) =
           rr_last_stamp = 0;
           rr_times_banned = 0;
           rr_banned_until = 0;
-          rr_plan_sig = "";
+          rr_plan_sig = [||];
           rr_plans = [||];
           rr_compiled = [||];
         }
@@ -552,29 +607,35 @@ let explain_plans eng : string =
       if n_atoms = 0 then Buffer.add_string buf "  (no atoms)\n"
       else begin
         let cards = atom_cards eng q in
-        let full = Compile.replan q ~cards in
+        let orders = slot_orders eng r cards in
+        let full = Compile.reorder q ~order:orders.(n_atoms) in
         let dump =
           Format.asprintf "%a" (Compile.pp_plan ~cards ~lowering:(lowering_of full)) full
         in
         List.iter
           (fun line -> Buffer.add_string buf ("  " ^ line ^ "\n"))
           (String.split_on_char '\n' dump);
-        let low = r.rr_last_stamp in
         for j = 0 to n_atoms - 1 do
-          let delta = Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) low in
-          let cards' = Array.mapi (fun i c -> if i = j then delta_card c delta else c) cards in
-          let variant = Compile.replan q ~cards:cards' in
+          let delta =
+            Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) r.rr_last_stamp
+          in
           Buffer.add_string buf
             (Printf.sprintf "  delta[%d] (%d rows) order:%s  [%s]\n" j delta
                (String.concat ""
-                  (List.map
-                     (fun v -> " " ^ q.Compile.var_names.(v))
-                     (Array.to_list variant.Compile.order)))
-               (lowering_of variant))
+                  (List.map (fun v -> " " ^ q.Compile.var_names.(v)) (Array.to_list orders.(j))))
+               (lowering_of (Compile.reorder q ~order:orders.(j))))
         done
       end)
     eng.rules;
   Buffer.contents buf
+
+let cached_plans eng =
+  List.map (fun r -> (r.rr_name, r.rr_rule.Compile.cr_query, r.rr_plans)) eng.rules
+
+let planned_orders eng =
+  List.map
+    (fun r -> (r.rr_name, slot_orders eng r (atom_cards eng r.rr_rule.Compile.cr_query)))
+    eng.rules
 
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
@@ -1532,7 +1593,7 @@ type rule_state = {
   st_last_stamp : int;
   st_times_banned : int;
   st_banned_until : int;
-  st_plan_sig : string;
+  st_plan_sig : int array;
   st_plans : Compile.cquery array;
   st_compiled : Join.compiled array;
 }

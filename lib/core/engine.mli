@@ -85,6 +85,19 @@ val explain_plans : t -> string
     variable order with cost estimates, the primitive schedule, and the
     order of each semi-naïve delta variant (CLI [--explain-plans]). *)
 
+val cached_plans : t -> (string * Compile.cquery * Compile.cquery array) list
+(** Every rule's name, compiled query and currently cached plan slots (one
+    per semi-naïve delta variant, then the full-range plan; empty before
+    the rule's first search), in declaration order. Read-only; for tests
+    that check the plan cache against {!Compile.reorder}. *)
+
+val planned_orders : t -> (string * int array array) list
+(** For every rule, in declaration order, the variable order each of its
+    plan slots would get if it were planned now ({!Compile.greedy_order}
+    against current statistics and the rule's delta window) — the orders
+    the next search replans to when the rule's size-bucket signature has
+    shifted. Read-only; for tests of the plan cache. *)
+
 (** {1 Running} *)
 
 type iteration_stat = {

@@ -354,9 +354,11 @@ module VTbl = Hashtbl.Make (struct
 end)
 
 (* Per-column distinct-value counts (argument columns then the output),
-   recomputed lazily and cached against the version: the planner asks for
-   them only when a table's size bucket shifts, so the O(rows * columns)
-   scan amortizes to nothing on steady-state workloads. *)
+   recomputed lazily and cached against the version. The planner asks for
+   them whenever a rule's size-bucket signature shifts, so a table that
+   stops changing is counted once, but a growing table pays a full
+   O(rows * columns) recount on every such replan — a visible share of
+   search time on workloads whose tables grow every iteration. *)
 let column_distincts t =
   match t.distinct_cache with
   | Some (v, d) when v = t.version -> d

@@ -542,14 +542,17 @@ let test_trie_depth_not_a_timing () =
    database is answered from the engine's memo. *)
 let deterministic_counters =
   [ "engine.iterations"; "engine.matches_applied"; "engine.tuples_inserted"; "db.unions";
-    "extract.nodes_evaluated"; "extract.memo_hits"; "txn.undo_entries" ]
+    "extract.nodes_evaluated"; "extract.memo_hits"; "txn.undo_entries"; "join.plans_built";
+    "join.plans_reused"; "join.replans" ]
 
-let test_counters_cross_jobs () =
+(* Every deterministic counter of [run] at jobs 2 and 4 equals jobs 1's;
+   returns jobs 1's. *)
+let counters_across_jobs ~label run =
   let counters_at jobs =
     fresh ();
     T.enable ();
     let eng = E.Engine.create ~jobs () in
-    ignore (E.run_string eng extract_program);
+    run eng;
     T.disable ();
     let snap = T.snapshot () in
     List.map (fun name -> (name, counter_value snap name)) deterministic_counters
@@ -559,13 +562,28 @@ let test_counters_cross_jobs () =
     (fun jobs ->
       List.iter2
         (fun (name, a) (_, b) ->
-          Alcotest.(check int) (Printf.sprintf "%s at jobs %d = jobs 1" name jobs) a b)
+          Alcotest.(check int) (Printf.sprintf "%s: %s at jobs %d = jobs 1" label name jobs) a b)
         c1 (counters_at jobs))
     [ 2; 4 ];
+  c1
+
+let test_counters_cross_jobs () =
+  let c1 =
+    counters_across_jobs ~label:"extract program" (fun eng ->
+        ignore (E.run_string eng extract_program))
+  in
   Alcotest.(check bool) "nodes evaluated" true (List.assoc "extract.nodes_evaluated" c1 > 0);
   Alcotest.(check int) "second extraction hits the memo" 1 (List.assoc "extract.memo_hits" c1);
   (* (run 4) overwrites rows and union-find slots that (define e ...) made *)
   Alcotest.(check bool) "undo trail saved slots" true (List.assoc "txn.undo_entries" c1 > 0);
+  (* replans on the math suite find most slots' orders already planned *)
+  let m1 =
+    counters_across_jobs ~label:"math suite" (fun eng ->
+        ignore (E.run_string eng (Math_suite.egglog_program ()));
+        ignore (E.Engine.run_iterations eng 5))
+  in
+  Alcotest.(check bool) "math suite replans" true (List.assoc "join.replans" m1 > 0);
+  Alcotest.(check bool) "math suite reuses plans" true (List.assoc "join.plans_reused" m1 > 0);
   fresh ()
 
 (* ---- flight recorder ---- *)
