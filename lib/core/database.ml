@@ -260,8 +260,13 @@ let modeled_bytes db =
   !n
 
 (* Cardinality statistics for the cost-based planner: current row count and
-   per-column distinct counts (the latter cached inside the table). *)
-let table_stats (_db : t) table = (Table.length table, Table.column_distincts table)
+   per-column distinct counts (the latter cached inside the table). A
+   recount replaces the cached counts, which the never-ran world would
+   still hold, so inside a transaction it arms the table's trail first —
+   even when the transaction only reads the table. *)
+let table_stats db table =
+  if not (Table.distincts_current table) then writing db table;
+  (Table.length table, Table.column_distincts table)
 
 let copy db =
   let funcs = Hashtbl.create (Hashtbl.length db.funcs) in

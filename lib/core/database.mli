@@ -99,8 +99,10 @@ val modeled_bytes : t -> int
 
 val table_stats : t -> Table.t -> int * int array
 (** [(rows, distinct-per-column)] for cost-based join planning; distinct
-    counts cover argument columns then the output and are cached against
-    the table version. *)
+    counts cover argument columns then the output and are kept until the
+    table's size bucket moves ({!Table.column_distincts}). Inside a
+    transaction a recount first arms the table's trail, so a rollback
+    restores the counts a reader would otherwise keep. *)
 
 (** {1 Snapshots (push/pop)} *)
 

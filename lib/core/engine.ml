@@ -170,19 +170,6 @@ let atom_cards eng (q : Compile.cquery) : Compile.atom_card array =
 let delta_card (c : Compile.atom_card) rows =
   { Compile.ac_rows = rows; ac_distinct = Array.map (fun d -> min d (max 1 rows)) c.Compile.ac_distinct }
 
-(* log2 size bucket: statistics "shift" (and plans are recomputed) only
-   when a cardinality crosses a power-of-two boundary. *)
-let bucket n =
-  if n <= 0 then 0
-  else begin
-    let b = ref 0 and m = ref n in
-    while !m > 1 do
-      incr b;
-      m := !m lsr 1
-    done;
-    !b + 1
-  end
-
 (* The per-rule plan cache key: for each atom, the size bucket of the full
    table and of the rule's current delta window, held pairwise in an int
    array. The schema and variable structure are fixed per compiled rule, so
@@ -196,8 +183,8 @@ let plan_signature_matches eng (q : Compile.cquery) ~low (signature : int array)
   while !same && !i < Array.length atoms do
     let table = table_of eng atoms.(!i).Compile.a_func in
     same :=
-      bucket (Table.length table) = signature.(2 * !i)
-      && bucket (Table.entries_since table low) = signature.((2 * !i) + 1);
+      Table.size_bucket (Table.length table) = signature.(2 * !i)
+      && Table.size_bucket (Table.entries_since table low) = signature.((2 * !i) + 1);
     incr i
   done;
   !same
@@ -207,7 +194,8 @@ let plan_signature eng (q : Compile.cquery) ~low =
     (2 * Array.length q.Compile.atoms)
     (fun k ->
       let table = table_of eng q.Compile.atoms.(k / 2).Compile.a_func in
-      if k land 1 = 0 then bucket (Table.length table) else bucket (Table.entries_since table low))
+      Table.size_bucket
+        (if k land 1 = 0 then Table.length table else Table.entries_since table low))
 
 let same_order (a : int array) (b : int array) =
   let i = ref 0 in
@@ -591,7 +579,8 @@ let check_facts eng facts =
 
 (* Deterministic dump of every rule's cost-based plan against current table
    statistics: the full-range plan in detail plus the chosen variable order
-   of each semi-naïve delta variant. Read-only (statistics queries only). *)
+   of each semi-naïve delta variant. Read-only, except that a table whose
+   size bucket moved has its distinct counts recounted. *)
 let explain_plans eng : string =
   let buf = Buffer.create 256 in
   List.iter
@@ -671,16 +660,29 @@ let rule_variants eng (r : rt_rule) : (int * Join.stamp_range array) list =
           Array.init n_atoms (fun i ->
               if i = j then { Join.lo = low; hi = max_int } else Join.all_rows) ))
 
+exception Limit_reached
+
 (* Search one variant; matches come back in reversed discovery order (the
-   natural cons order). Read-only over the database and the frozen cache,
-   so variants can run on worker domains. *)
-let search_variant eng ?cache (plans : Compile.cquery array)
+   natural cons order). The search stops once it holds [limit + 1]
+   matches: that many already prove the rule over its BackOff threshold
+   (see [search_limit]), so the rest would only be built to be discarded.
+   Every trie and index a search uses is built before its first match, so
+   stopping early leaves no partial cache entry. Read-only over the
+   database and the frozen cache, so variants can run on worker domains. *)
+let search_variant eng ?cache ~limit (plans : Compile.cquery array)
     (compiled : Join.compiled array) ((j, ranges) : int * Join.stamp_range array) :
     Value.t array list =
-  let acc = ref [] in
-  let emit b = acc := Array.copy b :: !acc in
-  if j < Array.length compiled then Join.search_compiled eng.db ?cache compiled.(j) ~ranges emit
-  else Join.search eng.db ?cache ~fast_paths:eng.fast_paths plans.(j) ~ranges emit;
+  let acc = ref [] and n = ref 0 in
+  let emit b =
+    acc := Array.copy b :: !acc;
+    incr n;
+    if !n > limit then raise_notrace Limit_reached
+  in
+  (try
+     if j < Array.length compiled then
+       Join.search_compiled eng.db ?cache compiled.(j) ~ranges emit
+     else Join.search eng.db ?cache ~fast_paths:eng.fast_paths plans.(j) ~ranges emit
+   with Limit_reached -> ());
   !acc
 
 (* Merge per-variant results (ascending variant order, each in reversed
@@ -722,14 +724,14 @@ let resolve_variant_matches (plan : Compile.cquery) (rows : Value.t array list) 
     rows
   end
 
-let search_matches eng ?cache (r : rt_rule) : Value.t array list =
+let search_matches eng ?cache ~limit (r : rt_rule) : Value.t array list =
   let cache = if eng.index_caching then cache else None in
   let plans = plans_for eng r in
   let compiled = r.rr_compiled in
   merge_variant_matches
     (List.map
        (fun ((j, _) as v) ->
-         resolve_variant_matches plans.(j) (search_variant eng ?cache plans compiled v))
+         resolve_variant_matches plans.(j) (search_variant eng ?cache ~limit plans compiled v))
        (rule_variants eng r))
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
@@ -835,7 +837,7 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
    (rule, ascending variant) order, making the result — including match
    order — bit-identical to the serial path regardless of scheduling.
    [budget_check] fires once per rule, like the serial loop. *)
-let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
+let parallel_search eng ~jobs ~budget_check ~limit_of (eligible : rt_rule list) :
     (rt_rule * Value.t array list) list =
   let cache = if eng.index_caching then Some eng.join_cache else None in
   let rules_variants =
@@ -848,11 +850,13 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
   let tasks =
     Array.of_list
       (List.concat_map
-         (fun (r, plans, compiled, vs) -> List.map (fun v -> (r, plans, compiled, v)) vs)
+         (fun (r, plans, compiled, vs) ->
+           let limit = limit_of r in
+           List.map (fun v -> (r, limit, plans, compiled, v)) vs)
          rules_variants)
   in
   Array.iter
-    (fun (_, plans, _, (j, ranges)) ->
+    (fun (_, _, plans, _, (j, ranges)) ->
       Join.prebuild eng.db ?cache ~fast_paths:eng.fast_paths plans.(j) ~ranges)
     tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
@@ -863,8 +867,8 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       ~finally:(fun () -> Option.iter (fun c -> Join.set_frozen c false) cache)
       (fun () ->
         Pool.run ~participants:(jobs - 1) pool
-          (fun (r, plans, compiled, v) ->
-            with_rule_context r (fun () -> search_variant eng ?cache plans compiled v))
+          (fun (r, limit, plans, compiled, v) ->
+            with_rule_context r (fun () -> search_variant eng ?cache ~limit plans compiled v))
           tasks)
   in
   let idx = ref 0 in
@@ -882,6 +886,34 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       budget_check ~within_iteration:true;
       (r, matches))
     rules_variants
+
+(* The scheduler of one iteration. Under memory pressure the backoff
+   policy tightens — match limits shrink 8x per tier — and applies even
+   when the configured scheduler is Simple, so runs degrade to
+   slower-but-bounded before the hard memory stop. Pressure is computed
+   from modeled bytes, so the tightening is identical at any jobs count. *)
+let effective_scheduler eng ~pressure =
+  if pressure <= 0 then eng.scheduler
+  else begin
+    let base = match eng.scheduler with Backoff _ as b -> b | Simple -> backoff_default in
+    match base with
+    | Backoff { match_limit; ban_length } ->
+      Backoff { match_limit = max 1 (match_limit lsr (3 * pressure)); ban_length }
+    | Simple -> Simple
+  end
+
+(* [r]'s BackOff threshold under [scheduler]: an iteration in which the
+   rule yields more matches bans it. Search stops each variant one match
+   past it ([search_variant]). A capped variant alone puts the rule's
+   total over the threshold, and with no variant capped the total is
+   exact, so a rule is banned exactly when the uncapped search would ban
+   it, and a rule that is not banned is never cut short. The cap is per
+   variant, not per rule, so the matches built (and the symbols interned)
+   do not depend on how variants are spread over domains. *)
+let search_limit scheduler (r : rt_rule) =
+  match scheduler with
+  | Simple -> max_int
+  | Backoff { match_limit; _ } -> match_limit lsl r.rr_times_banned
 
 let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
     ?(rule_accs : (string, rule_acc) Hashtbl.t option) ?(jobs = 1) ?(pressure = 0) eng
@@ -936,6 +968,8 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
   let log0 = Database.total_log_entries db in
   let cache = eng.join_cache in
   Join.clear_scratch cache;
+  let scheduler = effective_scheduler eng ~pressure in
+  let limit_of = search_limit scheduler in
   let dt_search, searched =
     Telemetry.timed_span "engine.search" (fun () ->
         let eligible =
@@ -955,37 +989,24 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
               Telemetry.record_max c_domains 1;
               List.map
                 (fun r ->
-                  let matches = with_rule_context r (fun () -> search_matches eng ~cache r) in
+                  let matches =
+                    with_rule_context r (fun () -> search_matches eng ~cache ~limit:(limit_of r) r)
+                  in
                   budget_check ~within_iteration:true;
                   (r, matches))
                 eligible
             end
-            else parallel_search eng ~jobs ~budget_check eligible))
+            else parallel_search eng ~jobs ~budget_check ~limit_of eligible))
   in
   ph.ph_search <- ph.ph_search +. dt_search;
   Telemetry.hist_record h_search dt_search;
   let to_apply =
-    (* Under memory pressure the backoff policy tightens — match limits
-       shrink 8x per tier — and applies even when the configured scheduler
-       is Simple, so runs degrade to slower-but-bounded before the hard
-       memory stop. Pressure is computed from modeled bytes, so the
-       tightening is identical at any jobs count. *)
-    let effective_scheduler =
-      if pressure <= 0 then eng.scheduler
-      else begin
-        let base = match eng.scheduler with Backoff _ as b -> b | Simple -> backoff_default in
-        match base with
-        | Backoff { match_limit; ban_length } ->
-          Backoff { match_limit = max 1 (match_limit lsr (3 * pressure)); ban_length }
-        | Simple -> Simple
-      end
-    in
     List.filter_map
       (fun (r, matches) ->
-        match effective_scheduler with
+        match scheduler with
         | Simple -> Some (r, matches)
-        | Backoff { match_limit; ban_length } ->
-          let threshold = match_limit lsl r.rr_times_banned in
+        | Backoff { ban_length; _ } ->
+          let threshold = limit_of r in
           if List.length matches > threshold then begin
             r.rr_banned_until <- eng.iteration + (ban_length lsl r.rr_times_banned);
             r.rr_times_banned <- r.rr_times_banned + 1;

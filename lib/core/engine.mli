@@ -12,7 +12,9 @@ type scheduler =
   | Backoff of { match_limit : int; ban_length : int }
       (** egg's BackOff scheduler: a rule producing more than
           [match_limit * 2^times_banned] matches is banned for
-          [ban_length * 2^times_banned] iterations. *)
+          [ban_length * 2^times_banned] iterations. Search stops each
+          semi-naïve variant of a rule one match past that threshold, so
+          a banned rule is not searched to the end. *)
 
 val backoff_default : scheduler
 

@@ -123,6 +123,16 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
 
 exception Found
 
+(* Run a search's scan, then add the rows it visited ([scanned]) to
+   [join.tuples_scanned] — also when the match callback stops the scan
+   early by raising (the engine caps BackOff searches that way). *)
+let count_scanned scanned scan =
+  match scan () with
+  | () -> Telemetry.bump c_scanned !scanned
+  | exception e ->
+    Telemetry.bump c_scanned !scanned;
+    raise e
+
 (* The memo holds both kinds of built structure. Full-table entries
    (lo = 0, hi = max_int) live in the persistent tier, validated against
    the table's version and patched forward when the table only grew.
@@ -506,14 +516,14 @@ let search_single_atom (q : Compile.cquery) (plan : atom_plan) (range : stamp_ra
      so whether a primitive output checks or binds is static. *)
   let prim_plan = static_prim_plan q [ plan.ap_vars ] in
   let scanned = ref 0 in
+  count_scanned scanned @@ fun () ->
   Table.iter_range plan.ap_table ~lo:range.lo ~hi:range.hi (fun key row ->
       incr scanned;
       if row_passes plan key row then begin
         let cell i = if i < Array.length key then key.(i) else row.Table.value in
         Array.iteri (fun level src -> env.(plan.ap_vars.(level)) <- cell src) plan.ap_sources;
         if run_static_prims env prim_plan then callback env
-      end);
-  Telemetry.bump c_scanned !scanned
+      end)
 
 (* Driver choice and index layout for the two-atom fast path, factored
    out so [prebuild] computes exactly the layout [search_two_atoms] will
@@ -559,6 +569,7 @@ let search_two_atoms ?cache (q : Compile.cquery) (plans : atom_plan array)
   let env = Array.make q.Compile.n_vars Value.VUnit in
   let probe_key = Array.make (Array.length shared) Value.VUnit in
   let scanned = ref 0 in
+  count_scanned scanned @@ fun () ->
   Table.iter_range dplan.ap_table ~lo:ranges.(driver).lo ~hi:ranges.(driver).hi
     (fun key row ->
       incr scanned;
@@ -574,8 +585,7 @@ let search_two_atoms ?cache (q : Compile.cquery) (plans : atom_plan array)
               Array.iteri (fun i (v, _) -> env.(v) <- rest_vals.(i)) rest;
               if run_static_prims env prim_plan then callback env)
             entries
-      end);
-  Telemetry.bump c_scanned !scanned
+      end)
 
 (* Count yields only when telemetry is on: the wrapper closure would
    otherwise cost an allocation per search even with everything off. *)
@@ -826,13 +836,13 @@ let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run
     let env = Array.make n_vars Value.VUnit in
     let run_prims = prims () in
     let scanned = ref 0 in
+    count_scanned scanned @@ fun () ->
     Table.iter_delta table ~lo:ranges.(0).lo ~hi:ranges.(0).hi (fun key row ->
         incr scanned;
         if filter key row then begin
           bind env key row;
           if run_prims env then callback env
-        end);
-    Telemetry.bump c_scanned !scanned
+        end)
 
 (* One orientation (driver choice) of the two-atom fast path, fully
    compiled. The driver itself is picked per search — it depends on the
@@ -918,6 +928,7 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compi
     let run_prims = o.to_prims () in
     let nshared = Array.length o.to_shared_vars and nrest = Array.length o.to_rest_vars in
     let scanned = ref 0 in
+    count_scanned scanned @@ fun () ->
     Table.iter_delta dtable ~lo:ranges.(driver).lo ~hi:ranges.(driver).hi (fun key row ->
         incr scanned;
         if o.to_filter_d key row then begin
@@ -935,8 +946,7 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compi
                 done;
                 if run_prims env then callback env)
               entries
-        end);
-    Telemetry.bump c_scanned !scanned
+        end)
 
 (* Generic trie join as a chain of per-depth closures built once: depth d's
    step captures its variable, participating-atom array, compiled primitive

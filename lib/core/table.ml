@@ -18,6 +18,7 @@ type trail = {
   tr_value_updates : int;
   tr_bytes : int;
   tr_revivals_stamp : int;
+  tr_distinct_cache : (int * int array) option;
   mutable tr_swapped : bool;  (* [revivals] is a map created inside the transaction *)
   mutable tr_undo : undo list;  (* newest first *)
 }
@@ -43,7 +44,8 @@ type t = {
   mutable version : int;  (* bumped on any mutation; index-cache validity *)
   mutable removals : int;  (* rows ever removed; nonzero delta = not append-only *)
   mutable value_updates : int;  (* in-place output overwrites of existing rows *)
-  mutable distinct_cache : (int * int array) option;  (* version, per-column distincts *)
+  mutable distinct_cache : (int * int array) option;
+      (* size bucket at the count, per-column distincts; see [column_distincts] *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
   (* Keys removed while the log's newest stamp still equals their row's: a
      re-insert at that same stamp must inherit the removed row's [first_log]
@@ -238,6 +240,7 @@ let begin_trail t =
         tr_value_updates = t.value_updates;
         tr_bytes = t.bytes;
         tr_revivals_stamp = t.revivals_stamp;
+        tr_distinct_cache = t.distinct_cache;
         tr_swapped = false;
         tr_undo = [];
       }
@@ -277,7 +280,7 @@ let undo_trail t =
     t.revivals_stamp <- tr.tr_revivals_stamp;
     (* versions stay monotone: an undo is one more mutation *)
     t.version <- t.version + 1;
-    t.distinct_cache <- None;
+    t.distinct_cache <- tr.tr_distinct_cache;
     end_trail t
 
 (* First log index with stamp >= lo (stamps are nondecreasing). *)
@@ -353,15 +356,38 @@ module VTbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+(* log2 size bucket: 0 for an empty table, else 1 + floor (log2 n). *)
+let size_bucket n =
+  if n <= 0 then 0
+  else begin
+    let b = ref 0 and m = ref n in
+    while !m > 1 do
+      incr b;
+      m := !m lsr 1
+    done;
+    !b + 1
+  end
+
+let c_distinct_recounts = Telemetry.counter "join.distinct_recounts"
+let c_distinct_rows = Telemetry.counter "join.distinct_rows_scanned"
+
+let distincts_current t =
+  match t.distinct_cache with
+  | Some (b, _) -> b = size_bucket (Row_map.length t.data)
+  | None -> false
+
 (* Per-column distinct-value counts (argument columns then the output),
-   recomputed lazily and cached against the version. The planner asks for
-   them whenever a rule's size-bucket signature shifts, so a table that
-   stops changing is counted once, but a growing table pays a full
-   O(rows * columns) recount on every such replan — a visible share of
-   search time on workloads whose tables grow every iteration. *)
+   counted lazily and kept until the table's size bucket moves. The
+   planner asks for them whenever a rule's size-bucket signature shifts,
+   and a table that grows every iteration would otherwise pay a full
+   O(rows * columns) recount on each such replan; the plan signature
+   itself sees sizes only to the bucket. The kept counts depend on when
+   the last recount ran, so every operation that restores history
+   restores them too: an undo trail saves them when armed, and [copy]
+   shares them. *)
 let column_distincts t =
   match t.distinct_cache with
-  | Some (v, d) when v = t.version -> d
+  | Some (_, d) when distincts_current t -> d
   | Some _ | None ->
     let cols = Schema.arity t.func + 1 in
     let tbls = Array.init cols (fun _ -> VTbl.create 64) in
@@ -371,7 +397,9 @@ let column_distincts t =
         VTbl.replace tbls.(cols - 1) row.value ())
       t.data;
     let d = Array.map VTbl.length tbls in
-    t.distinct_cache <- Some (t.version, d);
+    Telemetry.bump c_distinct_recounts 1;
+    Telemetry.bump c_distinct_rows (Row_map.length t.data);
+    t.distinct_cache <- Some (size_bucket (Row_map.length t.data), d);
     d
 
 (* ------------------------------------------------------------------ *)
@@ -435,7 +463,7 @@ let copy t =
     version = t.version;
     removals = t.removals;
     value_updates = t.value_updates;
-    distinct_cache = None;
+    distinct_cache = t.distinct_cache;  (* never mutated, so shared *)
     bytes = t.bytes;
     revivals;
     revivals_stamp = t.revivals_stamp;

@@ -92,12 +92,23 @@ val iter_log_suffix : t -> from:int -> (Value.t array -> row -> unit) -> unit
     once. This is the feed for incremental index maintenance: a structure
     built when the log had length [from] learns exactly these rows. *)
 
+val size_bucket : int -> int
+(** log2 size bucket of a row count: 0 for 0, else [1 + floor (log2 n)]. *)
+
 val column_distincts : t -> int array
 (** Distinct-value count per column (argument columns, then the output), for
-    cardinality estimation. Cached against [version]. *)
+    cardinality estimation. Counted on first use and kept until the
+    table's {!size_bucket} changes, so a growing table is recounted once
+    per doubling; counts served from the cache describe the rows at the
+    last recount. Each recount bumps [join.distinct_recounts] and adds the
+    rows it read to [join.distinct_rows_scanned]. *)
+
+val distincts_current : t -> bool
+(** [column_distincts] would answer from its cache, without recounting. *)
 
 val copy : t -> t
-(** Deep copy (for push/pop). The copy carries no trail. *)
+(** Deep copy (for push/pop). The copy carries no trail and shares the
+    cached distinct counts. *)
 
 (** {2 Undo trail}
 
@@ -119,9 +130,9 @@ val trail_entries : t -> int
     bindings. *)
 
 val undo_trail : t -> unit
-(** Restore the rows, the log and the counters at {!begin_trail}, and
-    disarm. {!version} is bumped, never rewound, so caches validated by it
-    see the undo as one more mutation. *)
+(** Restore the rows, the log, the counters and the cached distinct counts
+    at {!begin_trail}, and disarm. {!version} is bumped, never rewound, so
+    caches validated by it see the undo as one more mutation. *)
 
 val end_trail : t -> unit
 (** Keep the current state and disarm. *)

@@ -528,6 +528,115 @@ let test_backoff_bans () =
   Alcotest.(check bool) "backoff explores less" true
     (Egglog.Engine.total_rows eng2 <= Egglog.Engine.total_rows eng1)
 
+(* The BackOff boundary. A one-atom copy rule over [n] facts yields
+   exactly [n] matches per iteration, so a rule's match count is set
+   directly; yields are read from [join.matches_yielded], which counts
+   every match search builds. *)
+module T = Egglog.Telemetry
+
+let with_counters f =
+  T.reset ();
+  T.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.disable ();
+      T.reset ())
+    (fun () ->
+      let result = f () in
+      (result, (T.snapshot ()).T.sn_counters))
+
+let counter counters name = Option.value ~default:0 (List.assoc_opt name counters)
+
+let copy_rule_engine ?(scheduler = Egglog.Engine.Backoff { match_limit = 4; ban_length = 2 })
+    ?pressure_tiers n =
+  let eng = Egglog.Engine.create ~scheduler ?pressure_tiers () in
+  ignore
+    (Egglog.run_string eng
+       (String.concat " "
+          ("(relation src (i64)) (relation dst (i64)) (rule ((src x)) ((dst x)))"
+          :: List.init n (Printf.sprintf "(src %d)"))));
+  eng
+
+let dst_rows eng =
+  match
+    Egglog.Database.find_func (Egglog.Engine.database eng) (Egglog.Symbol.intern "dst")
+  with
+  | Some t -> Egglog.Table.length t
+  | None -> Alcotest.fail "dst is not declared"
+
+let run_counted ?memory_limit eng n =
+  let report, counters =
+    with_counters (fun () -> Egglog.Engine.run_iterations ?memory_limit eng n)
+  in
+  let bans =
+    List.fold_left (fun acc s -> acc + s.Egglog.Engine.rs_bans) 0 report.Egglog.Engine.rule_stats
+  in
+  (bans, counter counters "join.matches_yielded")
+
+let test_backoff_at_threshold () =
+  (* match_limit 4: exactly 4 matches is not over the threshold *)
+  let eng = copy_rule_engine 4 in
+  let bans, yielded = run_counted eng 1 in
+  Alcotest.(check int) "not banned" 0 bans;
+  Alcotest.(check int) "every match built" 4 yielded;
+  Alcotest.(check int) "every match applied" 4 (dst_rows eng)
+
+let test_backoff_over_threshold () =
+  (* 20 matches against threshold 4: search stops at the 5th, the rule is
+     banned for 2 iterations and applies nothing; at iteration 3 the
+     threshold is 8, still exceeded, so search stops at the 9th *)
+  let eng = copy_rule_engine 20 in
+  let bans, yielded = run_counted eng 1 in
+  Alcotest.(check int) "banned" 1 bans;
+  Alcotest.(check int) "search stops at threshold + 1" 5 yielded;
+  Alcotest.(check int) "nothing applied" 0 (dst_rows eng);
+  let bans, yielded = run_counted eng 2 in
+  Alcotest.(check int) "banned again at the doubled threshold" 1 bans;
+  Alcotest.(check int) "skipped while banned, then stops at 8 + 1" 9 yielded;
+  Alcotest.(check int) "still nothing applied" 0 (dst_rows eng);
+  (* 6 matches: over 4, banned; under the doubled 8, applied *)
+  let eng = copy_rule_engine 6 in
+  let bans, yielded = run_counted eng 3 in
+  Alcotest.(check int) "banned once" 1 bans;
+  Alcotest.(check int) "5 built when banned, 6 when applied" 11 yielded;
+  Alcotest.(check int) "applied under the doubled threshold" 6 (dst_rows eng)
+
+let test_pressure_caps_search () =
+  (* Simple never bans or caps; under pressure tier 1 it runs as BackOff
+     with match limit 1000 / 8 = 125, and search stops at the 126th *)
+  let eng = copy_rule_engine ~scheduler:Egglog.Engine.Simple 300 in
+  let bans, yielded = run_counted eng 1 in
+  Alcotest.(check (pair int int)) "Simple builds and applies all" (0, 300) (bans, yielded);
+  Alcotest.(check int) "all applied" 300 (dst_rows eng);
+  let eng =
+    copy_rule_engine ~scheduler:Egglog.Engine.Simple ~pressure_tiers:(0.001, 1.0) 300
+  in
+  let bans, yielded = run_counted ~memory_limit:10_000_000 eng 1 in
+  Alcotest.(check int) "banned under pressure" 1 bans;
+  Alcotest.(check int) "search stops at the pressure limit + 1" 126 yielded;
+  Alcotest.(check int) "nothing applied" 0 (dst_rows eng)
+
+(* The cap is per variant, so what search builds does not depend on how
+   variants are spread over domains. *)
+let test_backoff_cap_across_jobs () =
+  let at jobs =
+    let eng = Egglog.Engine.create ~scheduler:Egglog.Engine.backoff_default ~jobs () in
+    ignore (Egglog.run_string eng (Math_suite.egglog_program ()));
+    let report, counters = with_counters (fun () -> Egglog.Engine.run_iterations eng 8) in
+    ( List.map
+        (fun s -> (s.Egglog.Engine.rs_rule, s.Egglog.Engine.rs_bans))
+        report.Egglog.Engine.rule_stats,
+      counter counters "join.matches_yielded",
+      Egglog.Serialize.dump_string eng )
+  in
+  let bans1, yielded1, dump1 = at 1 in
+  Alcotest.(check bool) "some rule banned" true (List.exists (fun (_, b) -> b > 0) bans1);
+  Alcotest.(check bool) "matches yielded" true (yielded1 > 0);
+  let bans2, yielded2, dump2 = at 2 in
+  Alcotest.(check (list (pair string int))) "rs_bans at jobs 2" bans1 bans2;
+  Alcotest.(check int) "join.matches_yielded at jobs 2" yielded1 yielded2;
+  Alcotest.(check bool) "dump at jobs 2" true (String.equal dump1 dump2)
+
 let test_saturation_detection () =
   let eng = Egglog.Engine.create () in
   ignore
@@ -680,6 +789,13 @@ let () =
       ( "scheduling",
         [
           Alcotest.test_case "backoff" `Quick test_backoff_bans;
+          Alcotest.test_case "backoff: threshold matches apply" `Quick test_backoff_at_threshold;
+          Alcotest.test_case "backoff: threshold + 1 bans, capped" `Quick
+            test_backoff_over_threshold;
+          Alcotest.test_case "backoff: pressure limit caps search" `Quick
+            test_pressure_caps_search;
+          Alcotest.test_case "backoff: cap identical at jobs 1 and 2" `Quick
+            test_backoff_cap_across_jobs;
           Alcotest.test_case "saturation" `Quick test_saturation_detection;
         ] );
       ("properties", props);

@@ -1162,6 +1162,119 @@ let prop_table_trail =
       session ~trail:true ~undo:true = session ~trail:false ~undo:true
       && session ~trail:true ~undo:false = session ~trail:false ~undo:false)
 
+(* Distinct counts are kept until a table's size bucket moves, so they
+   depend on when the last recount ran, and a rollback or a (pop) must
+   restore them like any other state. Engine A runs every op; engine B
+   skips the failing read-only units and the (push) … (pop) blocks. Both
+   must report the same [Database.table_stats] at every [St_stats] and at
+   the end. A failing unit reads [r] and [s] only — a failed check, alone
+   or inside [with_transaction] — so all it rolls back is a recount its
+   read triggered. *)
+type st_op =
+  | St_fact of char * int * int
+  | St_stats
+  | St_fail_check
+  | St_fail_txn
+  | St_block of st_op list
+
+let rec st_op_src = function
+  | St_fact (rel, a, b) -> Printf.sprintf "(%c %d %d)" rel a b
+  | St_stats -> "stats"
+  | St_fail_check -> "(check (r 100 100) (s 100 100))"
+  | St_fail_txn -> "txn(" ^ st_op_src St_fail_check ^ " abort)"
+  | St_block ops -> "(push) " ^ String.concat " " (List.map st_op_src ops) ^ " (pop)"
+
+let gen_st_ops =
+  QCheck2.Gen.(
+    let fact = map3 (fun rel a b -> St_fact (rel, a, b)) (oneofl [ 'r'; 's' ]) (int_range 0 9) (int_range 0 9) in
+    let flat =
+      frequency
+        [ (8, fact); (3, pure St_stats); (2, pure St_fail_check); (1, pure St_fail_txn) ]
+    in
+    list_size (int_range 0 40)
+      (frequency [ (12, flat); (1, map (fun ops -> St_block ops) (list_size (int_range 0 8) flat)) ]))
+
+let st_stats eng =
+  let db = E.Engine.database eng in
+  List.map
+    (fun name ->
+      match E.Database.find_func db (E.Symbol.intern name) with
+      | Some t -> E.Database.table_stats db t
+      | None -> (0, [||]))
+    [ "r"; "s" ]
+
+let st_session ops ~skip =
+  let eng = E.Engine.create () in
+  let run src = ignore (E.run_string eng src) in
+  run "(relation r (i64 i64)) (relation s (i64 i64))";
+  let seen = ref [] in
+  (* stats inside a block recount like any, but only engine A sees them *)
+  let rec exec ?(in_block = false) op =
+    match op with
+    | St_fact _ -> run (st_op_src op)
+    | St_stats ->
+      let stats = st_stats eng in
+      if not in_block then seen := stats :: !seen
+    | (St_fail_check | St_fail_txn | St_block _) when skip -> ()
+    | St_fail_check -> (
+      match run (st_op_src op) with
+      | () -> QCheck2.Test.fail_report "the check passed"
+      | exception E.Engine.Egglog_error _ -> ())
+    | St_fail_txn -> (
+      match
+        E.Engine.with_transaction eng (fun () ->
+            (try run (st_op_src St_fail_check) with E.Engine.Egglog_error _ -> ());
+            failwith "abort")
+      with
+      | () -> QCheck2.Test.fail_report "the transaction committed"
+      | exception E.Engine.Egglog_error _ -> ())
+    | St_block ops ->
+      run "(push)";
+      List.iter (exec ~in_block:true) ops;
+      run "(pop)"
+  in
+  List.iter (fun op -> exec op) ops;
+  (List.rev !seen, st_stats eng)
+
+let prop_distincts_restored =
+  QCheck2.Test.make ~name:"distinct counts: rollback and (pop) == never ran" ~count:300
+    ~print:(fun ops -> String.concat " " (List.map st_op_src ops))
+    gen_st_ops
+    (fun ops -> st_session ops ~skip:false = st_session ops ~skip:true)
+
+(* Within a size bucket the counts are served from the cache; crossing a
+   power of two recounts, and the counters say so. *)
+let test_distincts_bucketed () =
+  let t = E.Table.create tb_func in
+  let set k v = ignore (E.Table.set_raw t [| E.Value.VInt k |] (E.Value.VInt v) ~stamp:1) in
+  let counters () =
+    let c = (E.Telemetry.snapshot ()).E.Telemetry.sn_counters in
+    let get name = Option.value ~default:0 (List.assoc_opt name c) in
+    (get "join.distinct_recounts", get "join.distinct_rows_scanned")
+  in
+  E.Telemetry.reset ();
+  E.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      E.Telemetry.disable ();
+      E.Telemetry.reset ())
+    (fun () ->
+      for k = 0 to 4 do set k k done;
+      let d5 = E.Table.column_distincts t in
+      Alcotest.(check (array int)) "5 rows counted" [| 5; 5 |] d5;
+      Alcotest.(check (pair int int)) "one recount of 5 rows" (1, 5) (counters ());
+      (* 6 rows: same bucket (4..7), so the 5-row counts are served *)
+      set 5 0;
+      Alcotest.(check bool) "current within the bucket" true (E.Table.distincts_current t);
+      Alcotest.(check bool) "same counts served" true (E.Table.column_distincts t == d5);
+      Alcotest.(check (pair int int)) "no recount" (1, 5) (counters ());
+      (* 8 rows: the bucket moves *)
+      set 6 1;
+      set 7 7;
+      Alcotest.(check bool) "stale past the boundary" false (E.Table.distincts_current t);
+      Alcotest.(check (array int)) "recounted at 8 rows" [| 8; 6 |] (E.Table.column_distincts t);
+      Alcotest.(check (pair int int)) "second recount of 8 rows" (2, 13) (counters ()))
+
 let () =
   Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;
   try
@@ -1187,7 +1300,10 @@ let () =
             prop_rollback_never_ran;
             prop_table_trail;
             prop_row_map_order;
+            prop_distincts_restored;
           ] );
+      ( "statistics",
+        [ Alcotest.test_case "distinct counts bucketed" `Quick test_distincts_bucketed ] );
       ( "scheduling",
         [ Alcotest.test_case "backoff unbans" `Quick test_backoff_unbans ] );
       ( "primitives",

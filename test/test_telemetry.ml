@@ -543,7 +543,7 @@ let test_trie_depth_not_a_timing () =
 let deterministic_counters =
   [ "engine.iterations"; "engine.matches_applied"; "engine.tuples_inserted"; "db.unions";
     "extract.nodes_evaluated"; "extract.memo_hits"; "txn.undo_entries"; "join.plans_built";
-    "join.plans_reused"; "join.replans" ]
+    "join.plans_reused"; "join.replans"; "join.distinct_recounts"; "join.distinct_rows_scanned" ]
 
 (* Every deterministic counter of [run] at jobs 2 and 4 equals jobs 1's;
    returns jobs 1's. *)
@@ -584,6 +584,10 @@ let test_counters_cross_jobs () =
   in
   Alcotest.(check bool) "math suite replans" true (List.assoc "join.replans" m1 > 0);
   Alcotest.(check bool) "math suite reuses plans" true (List.assoc "join.plans_reused" m1 > 0);
+  (* planning counts distincts, once per table per size bucket at most *)
+  Alcotest.(check bool) "math suite recounts distincts" true
+    (List.assoc "join.distinct_recounts" m1 > 0);
+  Alcotest.(check bool) "recounts read rows" true (List.assoc "join.distinct_rows_scanned" m1 > 0);
   fresh ()
 
 (* ---- flight recorder ---- *)
